@@ -8,9 +8,14 @@ exploration polynomial ``P`` (the ablation called out in DESIGN.md).
 The guarantee grid is the registered E3 :class:`ExperimentSpec` (the
 ``"bounds"`` problem kind, one cell per (n, L)); the ablation keeps driving
 ``run_sweep`` directly because each exponent needs its own live cost model.
+``test_bound_scaling_as_users_run_it`` runs the default grid with no model
+override, the way ``repro experiment E3`` does: the sweep resolves the
+cells' ``"paper"`` model itself, so its per-cell cost is part of the time.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
 
 from repro.analysis.experiment_spec import experiment_spec, run_experiment
 from repro.analysis.fitting import fit_power_law
@@ -24,6 +29,8 @@ SIZES = (2, 4, 8, 16, 32)
 LABELS = (1, 2, 4, 8, 16, 32, 64)
 
 SPEC = experiment_spec("E3", sizes=SIZES, labels=LABELS)
+
+GOLDEN_E3 = Path(__file__).resolve().parents[1] / "tests" / "golden" / "e3_full.txt"
 
 
 def test_bound_scaling(benchmark, paper_model):
@@ -39,6 +46,11 @@ def test_bound_scaling(benchmark, paper_model):
     for row in result.rows:
         by_length.setdefault((row["n"], row["label_length"]), set()).add(row["rv_bound"])
     assert all(len(values) == 1 for values in by_length.values())
+
+
+def test_bound_scaling_as_users_run_it(benchmark):
+    result = run_once(benchmark, run_experiment, experiment_spec("E3"))
+    assert result.render() + "\n" == GOLDEN_E3.read_text(encoding="utf-8")
 
 
 def test_bound_ablation_on_exploration_polynomial(benchmark):

@@ -17,6 +17,8 @@ from repro.runtime import ScenarioSpec
 from repro.runtime.runner import build_graph, build_scheduler
 from repro.sim import AgentSpec, AsyncEngine
 
+from ._harness import record_bench
+
 TRAVERSAL_BUDGET = 30_000
 
 SPEC = ScenarioSpec(
@@ -59,4 +61,5 @@ def test_engine_throughput(benchmark, sim_model):
     )
     assert result.total_traversals >= TRAVERSAL_BUDGET
     seconds = benchmark.stats.stats.mean
+    record_bench(benchmark.name, seconds, cells=result.total_traversals)
     print(f"\nengine throughput: {result.total_traversals / seconds:,.0f} traversals/s")

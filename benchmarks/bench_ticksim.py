@@ -21,7 +21,7 @@ from repro.runtime import INTERLEAVERS, ScenarioSpec
 from repro.runtime.runner import build_graph
 from repro.ticksim import FaultPlan, TickAgent, TickEngine
 
-from ._harness import emit, run_once
+from ._harness import emit, record_bench, run_once
 
 TICK_BUDGET = 3_000
 
@@ -67,4 +67,5 @@ def test_tick_engine_throughput(benchmark):
     result = benchmark.pedantic(_drive_ticks, rounds=3, iterations=1)
     assert result.reason == "tick_limit" and result.ticks == TICK_BUDGET
     seconds = benchmark.stats.stats.mean
+    record_bench(benchmark.name, seconds, cells=result.ticks)
     print(f"\ntick engine throughput: {result.ticks / seconds:,.0f} ticks/s")

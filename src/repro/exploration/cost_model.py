@@ -38,7 +38,7 @@ is meant for computing bounds (experiment E3), not for running agents.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..exceptions import ExplorationError
 from ..runtime.registry import COST_MODELS
@@ -68,6 +68,7 @@ class CostModel:
         self._uxs = uxs
         self._name = name
         self._cache: Dict[Tuple[str, int], int] = {}
+        self._sums: Dict[str, List[int]] = {}
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -99,6 +100,19 @@ class CostModel:
             self._cache[cache_key] = compute(k)
         return self._cache[cache_key]
 
+    def _running_sum(self, key: str, k: int, term: Callable[[int], int]) -> int:
+        """``Σ_{i=1..k} term(i)`` from a table of prefix sums.
+
+        ``self._sums[key][i]`` is the sum of the first ``i`` terms; a query
+        past the end of the table extends it from the largest prefix already
+        cached, one term at a time in a loop: filling it up to ``k`` costs
+        ``k`` terms in total, and the call depth does not grow with ``k``.
+        """
+        table = self._sums.setdefault(key, [0])
+        for i in range(len(table), k + 1):
+            table.append(table[-1] + term(i))
+        return table[k] if k > 0 else 0
+
     def len_R(self, k: int) -> int:
         """Length of ``R(k, ·)``."""
         return self.P(k)
@@ -108,8 +122,11 @@ class CostModel:
         return self._memo("X", k, lambda k: 2 * self.P(k))
 
     def len_Q(self, k: int) -> int:
-        """Length of ``Q(k, ·) = X(1)X(2)...X(k)`` (Definition 3.2)."""
-        return self._memo("Q", k, lambda k: sum(self.len_X(i) for i in range(1, k + 1)))
+        """Length of ``Q(k, ·) = X(1)X(2)...X(k)`` (Definition 3.2).
+
+        Filled as a running sum: ``|Q(k)| = |Q(k-1)| + |X(k)|``.
+        """
+        return self._running_sum("Q", k, self.len_X)
 
     def len_Y_prime(self, k: int) -> int:
         """Length of ``Y'(k, ·)`` (Definition 3.3): ``Q`` at every trunk node."""
@@ -122,8 +139,11 @@ class CostModel:
         return self._memo("Y", k, lambda k: 2 * self.len_Y_prime(k))
 
     def len_Z(self, k: int) -> int:
-        """Length of ``Z(k, ·) = Y(1)Y(2)...Y(k)`` (Definition 3.4)."""
-        return self._memo("Z", k, lambda k: sum(self.len_Y(i) for i in range(1, k + 1)))
+        """Length of ``Z(k, ·) = Y(1)Y(2)...Y(k)`` (Definition 3.4).
+
+        Filled as a running sum: ``|Z(k)| = |Z(k-1)| + |Y(k)|``.
+        """
+        return self._running_sum("Z", k, self.len_Y)
 
     def len_A_prime(self, k: int) -> int:
         """Length of ``A'(k, ·)`` (Definition 3.5): ``Z`` at every trunk node."""

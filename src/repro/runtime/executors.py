@@ -39,7 +39,7 @@ from ..exceptions import ReproError
 from ..exploration.cost_model import CostModel
 from ..obs.metrics import get_registry
 from .records import RunRecord, SweepResult
-from .runner import run
+from .runner import cost_model_resolver, run
 from .spec import ScenarioSpec, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -110,7 +110,12 @@ class Executor:
 
 
 class SerialExecutor(Executor):
-    """Run every cell in the current process, one after the other."""
+    """Run every cell in the current process, one after the other.
+
+    Without a live ``model`` override, each cost-model name the cells use
+    is resolved once per ``map_specs`` call and that instance serves every
+    cell naming it, so the cells share its length tables.
+    """
 
     def map_specs(
         self,
@@ -122,11 +127,12 @@ class SerialExecutor(Executor):
         cell_seconds = get_registry().histogram(
             "repro_cell_seconds", "Wall time per sweep cell"
         )
+        model_for = cost_model_resolver(model)
         records: List[RunRecord] = []
         total = len(specs)
         for index, spec in enumerate(specs):
             started = time.perf_counter()
-            record = run(spec, model=model, trace=trace)
+            record = run(spec, model=model_for(spec), trace=trace)
             cell_seconds.observe(time.perf_counter() - started, executor="serial")
             records.append(record)
             if progress is not None:

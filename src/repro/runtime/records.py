@@ -267,18 +267,20 @@ class SweepResult:
         The ratio says how much head-room the worst-case guarantee of
         Theorem 3.1 leaves over the measured run; it is only defined for
         the ``"rendezvous"`` problem (the baseline's guarantee is the
-        exponential trajectory length, not ``Π``).
+        exponential trajectory length, not ``Π``).  ``Π`` comes from
+        ``model`` when given, otherwise from each record's named cost model
+        (built once per name, as a serial sweep does).
         """
-        from ..exploration.cost_model import default_cost_model
+        from .runner import cost_model_resolver
 
-        model = model if model is not None else default_cost_model()
+        model_for = cost_model_resolver(model)
         ratios: List[float] = []
         for record in self.records:
             if record.problem != "rendezvous" or record.cost <= 0:
                 continue
             labels = record.spec.labels or (6, 11)
             shortest = min(label.bit_length() for label in labels)
-            bound = model.pi_bound(record.graph_size, shortest)
+            bound = model_for(record.spec).pi_bound(record.graph_size, shortest)
             ratios.append(bound / record.cost)
         return ratios
 

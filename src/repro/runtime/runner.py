@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..core.baseline import run_baseline_rendezvous
 from ..core.rendezvous import run_rendezvous
@@ -46,7 +46,13 @@ from .records import RunRecord
 from .registry import COST_MODELS, GRAPH_FAMILIES, PROBLEMS, SCHEDULERS
 from .spec import ScenarioSpec
 
-__all__ = ["run", "build_graph", "build_scheduler", "build_cost_model"]
+__all__ = [
+    "run",
+    "build_graph",
+    "build_scheduler",
+    "build_cost_model",
+    "cost_model_resolver",
+]
 
 
 def build_graph(spec: ScenarioSpec) -> PortLabeledGraph:
@@ -67,6 +73,31 @@ def build_scheduler(spec: ScenarioSpec) -> Scheduler:
 def build_cost_model(spec: ScenarioSpec) -> CostModel:
     """Build the cost model a spec names."""
     return COST_MODELS.create(spec.cost_model)
+
+
+def cost_model_resolver(
+    model: Optional[CostModel] = None,
+) -> Callable[[ScenarioSpec], CostModel]:
+    """Return ``spec -> CostModel`` that builds each named cost model once.
+
+    With ``model`` every spec gets that live override.  Otherwise the first
+    spec naming a cost model builds it and later specs naming the same model
+    share the instance — and with it the model's length tables, which is
+    what makes a sweep of bound cells (experiment E3) cheap.  The cache lives
+    as long as the returned function: one sweep, never the process.
+    """
+    if model is not None:
+        return lambda spec: model
+    models: Dict[str, CostModel] = {}
+
+    def resolve(spec: ScenarioSpec) -> CostModel:
+        found = models.get(spec.cost_model)
+        if found is None:
+            # Validate first, so a bad spec fails as ``run(spec)`` reports it.
+            found = models[spec.cost_model] = build_cost_model(spec.validate())
+        return found
+
+    return resolve
 
 
 def run(

@@ -359,7 +359,6 @@ class AsyncEngine:
         self._done = False
         self._reason: Optional[str] = None
         self._output_cost: Optional[int] = None
-        self._view = EngineView(self)
 
     # ------------------------------------------------------------------
     # public API
@@ -371,8 +370,14 @@ class AsyncEngine:
 
     @property
     def view(self) -> EngineView:
-        """The read-only view handed to schedulers."""
-        return self._view
+        """A read-only view of this engine, as handed to schedulers.
+
+        Views are made per call, never stored on the engine: an engine
+        holding its own view is a reference cycle, which would keep every
+        finished run (and all its meeting events) alive until the cyclic
+        collector happens to run.
+        """
+        return EngineView(self)
 
     @property
     def neighbor_index(self) -> NeighborIndex:
@@ -397,6 +402,7 @@ class AsyncEngine:
         ):
             return self._run_fast_round_robin(scheduler)
         self._bootstrap()
+        view = EngineView(self)
         while not self._done:
             self._check_passive_termination()
             if self._done:
@@ -406,7 +412,7 @@ class AsyncEngine:
                     f"scheduler exceeded the decision budget ({self._max_decisions}); "
                     "it is probably making unbounded zero-progress decisions"
                 )
-            decision = self._scheduler.decide(self._view)
+            decision = self._scheduler.decide(view)
             self._decisions += 1
             if decision is None:
                 self._finish(StopReason.SCHEDULER_EXHAUSTED)
@@ -690,6 +696,7 @@ class AsyncEngine:
             t0 = clock()
             self._bootstrap()
             tracer.add_span("engine.bootstrap", t0)
+            view = EngineView(self)
             while not self._done:
                 t0 = clock()
                 self._check_passive_termination()
@@ -703,7 +710,7 @@ class AsyncEngine:
                         "unbounded zero-progress decisions"
                     )
                 t0 = clock()
-                decision = self._scheduler.decide(self._view)
+                decision = self._scheduler.decide(view)
                 tracer.add_span("scheduler.decide", t0)
                 self._decisions += 1
                 if decision is None:

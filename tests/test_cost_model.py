@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.exceptions import ExplorationError
@@ -74,6 +76,45 @@ class TestLengthRecurrences:
     def test_caching_returns_same_value(self, model):
         assert model.len_A(3) == model.len_A(3)
         assert model.len_Omega(2) == model.len_Omega(2)
+
+
+class TestRunningSumTables:
+    """``len_Q`` / ``len_Z`` are filled as prefix sums; answers must not show it."""
+
+    @pytest.mark.parametrize("make", [SimulationCostModel, PaperCostModel])
+    def test_prefix_sums_equal_naive_sums(self, make):
+        model = make()
+        for k in range(1, 301):
+            assert model.len_Q(k) == sum(model.len_X(i) for i in range(1, k + 1))
+            assert model.len_Z(k) == sum(model.len_Y(i) for i in range(1, k + 1))
+
+    @pytest.mark.parametrize("make", [SimulationCostModel, PaperCostModel])
+    def test_answers_do_not_depend_on_query_order(self, make):
+        model = make()
+        for k in (120, 10, 300):
+            assert model.len_Z(k) == make().len_Z(k)
+            assert model.len_Q(k) == make().len_Q(k)
+
+    def test_non_positive_k_is_the_empty_sum(self):
+        model = SimulationCostModel()
+        model.len_Z(5)
+        assert model.len_Q(0) == model.len_Z(0) == 0
+
+    def test_tables_need_no_deep_recursion(self):
+        # Π(64, 8) has N = 165 pieces, so the tables reach k = 16 N = 2640.
+        # A fresh model asked for that k directly would recurse 2640 deep
+        # if the sums were ``len_Q(k - 1) + len_X(k)``.
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            bound = PaperCostModel().pi_bound(64, 8)
+            deep_q = PaperCostModel().len_Q(2640)
+            deep_z = PaperCostModel().len_Z(2640)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert bound > PaperCostModel().pi_bound(32, 8) > 0
+        assert deep_q == 2 * sum(i**3 for i in range(1, 2641))
+        assert deep_z > deep_q
 
 
 class TestAlgorithmStructureLengths:

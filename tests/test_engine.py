@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
@@ -18,7 +20,7 @@ from repro.sim import (
     StopReason,
 )
 from repro.sim.actions import Move, Stop
-from repro.sim.schedulers import Advance, Scheduler, Wake
+from repro.sim.schedulers import Advance, RandomScheduler, Scheduler, Wake
 
 
 def scripted(name: str, ports: Sequence[int], label: Optional[int] = None) -> FunctionController:
@@ -368,6 +370,31 @@ class TestEngineView:
         assert view.total_traversals() == 0
         assert view.agent_traversals("a") == 0
         assert not view.is_dormant("a")
+
+    @pytest.mark.parametrize(
+        "scheduler", [RoundRobinScheduler, RandomScheduler], ids=["fused", "generic"]
+    )
+    def test_finished_engine_is_freed_without_the_cycle_collector(
+        self, ring6, scheduler
+    ):
+        # A finished run holds every meeting event; if the engine sat in a
+        # reference cycle (say, with a stored view) all of it would stay
+        # alive until the cyclic collector ran.
+        engine = AsyncEngine(
+            ring6,
+            [AgentSpec(scripted("a", [0, 0, 0], label=1), 0),
+             AgentSpec(StationaryController("b", label=2), 1)],
+            scheduler(),
+        )
+        assert engine.view.agent_names()
+        assert engine.run().meetings
+        ref = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_max_safe_advance_sees_obstacles(self, ring6):
         # "a" commits to the edge 0-1 while "b" sits at node 1: completing the

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiment_spec import experiment_spec
 from repro.exceptions import ReproError
-from repro.runtime import RunRecord, ScenarioSpec, SweepSpec, SweepResult
+from repro.exploration.cost_model import PaperCostModel, SimulationCostModel
+from repro.runtime import COST_MODELS, RunRecord, ScenarioSpec, SweepSpec, SweepResult
 from repro.runtime.executors import (
     ProcessPoolExecutor,
     SerialExecutor,
@@ -139,6 +141,77 @@ class TestExecutors:
         assert revived.sweep == result.sweep
         assert len(revived) == len(result)
         assert revived[0].spec == result[0].spec
+
+
+#: One cheap rendezvous cell per registered model.  The paper model's
+#: trajectories are far too long to finish, so its cell stops at the budget.
+MIXED_MODEL_CELLS = [
+    ScenarioSpec(family="ring", size=4, labels=(1, 2), cost_model="simulation"),
+    ScenarioSpec(
+        family="ring",
+        size=4,
+        labels=(1, 2),
+        cost_model="paper",
+        max_traversals=300,
+        on_cost_limit="return",
+    ),
+]
+
+
+@pytest.fixture
+def created_models(monkeypatch):
+    """The cost-model names ``COST_MODELS.create`` is called with."""
+    names = []
+    create = COST_MODELS.create
+
+    def counting_create(name, *args, **kwargs):
+        names.append(name)
+        return create(name, *args, **kwargs)
+
+    monkeypatch.setattr(COST_MODELS, "create", counting_create)
+    return names
+
+
+class TestOneCostModelPerSweep:
+    def test_serial_e3_sweep_builds_one_model(self, created_models):
+        cells = experiment_spec("E3").cell_specs()
+        result = run_sweep(cells)
+        assert len(result) == len(cells) == 30
+        assert created_models == ["paper"]
+
+    def test_mixed_sweep_builds_one_model_per_name(self, created_models):
+        run_sweep(MIXED_MODEL_CELLS + MIXED_MODEL_CELLS)
+        assert created_models == ["simulation", "paper"]
+
+    def test_live_override_builds_no_model(self, created_models):
+        run_sweep(MIXED_MODEL_CELLS, model=SimulationCostModel())
+        assert created_models == []
+
+    @pytest.mark.parametrize(
+        "cells",
+        [experiment_spec("E3").cell_specs(), MIXED_MODEL_CELLS],
+        ids=["e3", "mixed"],
+    )
+    def test_shared_model_records_equal_per_cell_runs(self, cells):
+        shared = run_sweep(cells)
+        assert [record.to_json() for record in shared] == [
+            run(spec).to_json() for spec in cells
+        ]
+
+    def test_bound_ratios_use_each_records_model(self):
+        result = run_sweep(MIXED_MODEL_CELLS)
+        simulation, paper = result.records
+        expected = [
+            SimulationCostModel().pi_bound(4, 1) / simulation.cost,
+            PaperCostModel().pi_bound(4, 1) / paper.cost,
+        ]
+        assert result.bound_ratios() == expected
+        assert expected[0] != expected[1]
+        override = SimulationCostModel().pi_bound(4, 1)
+        assert result.bound_ratios(model=SimulationCostModel()) == [
+            override / simulation.cost,
+            override / paper.cost,
+        ]
 
 
 class TestBudgetClamp:
