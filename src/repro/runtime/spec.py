@@ -207,8 +207,17 @@ class ScenarioSpec:
         return dict(self.problem_params)
 
     def key(self) -> str:
-        """The spec's content hash (see :func:`spec_key`)."""
-        return spec_key(self)
+        """The spec's content hash (see :func:`spec_key`).
+
+        Computed once per instance: the spec is frozen, so the digest is
+        kept in the instance dict, outside the dataclass fields — equality,
+        hashing and serialisation never see it, a pickled spec carries it
+        along, and :meth:`replace` builds a new instance that hashes afresh.
+        """
+        cached = self.__dict__.get("_key")
+        if cached is None:
+            cached = self.__dict__["_key"] = spec_key(self)
+        return cached
 
     def replace(self, **changes: Any) -> "ScenarioSpec":
         """Return a copy with ``changes`` applied (specs are immutable)."""

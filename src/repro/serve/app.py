@@ -617,12 +617,19 @@ class ResultService:
 # HTTP plumbing
 # ----------------------------------------------------------------------
 class _Handler(BaseHTTPRequestHandler):
-    """Socket adapter: parse, delegate to the service, write the response."""
+    """Socket adapter: parse, delegate to the service, write the response.
+
+    The response is buffered and leaves in one write when the request is
+    done (``wbufsize = -1``), on a socket with Nagle's algorithm off: a
+    keep-alive client never waits on its delayed ACK for a second segment.
+    """
 
     service: ResultService  # injected by make_server via a subclass attribute
     quiet = True
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         if not self.quiet:  # pragma: no cover - log formatting only

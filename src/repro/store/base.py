@@ -50,9 +50,20 @@ def _canonical_order(record: RunRecord) -> Tuple[Any, ...]:
 
 
 class ResultStore:
-    """Abstract content-addressed store of run records."""
+    """Abstract content-addressed store of run records.
+
+    Backends bump :attr:`_version` whenever their key set (or a stored
+    payload) may have changed; :meth:`generation` and the canonical record
+    order behind :meth:`query` are memoised against it, so a store that did
+    not change answers both without touching its records.
+    """
 
     backend = "abstract"
+
+    #: Change counter: bumped by every backend mutation of the stored set.
+    _version = 0
+    _generation_memo: Optional[Tuple[int, str]] = None
+    _order_memo: Optional[Tuple[int, List[RunRecord]]] = None
 
     # ------------------------------------------------------------------
     # core mapping (implemented by the backends)
@@ -105,10 +116,27 @@ class ResultStore:
         restarts and on-disk compaction, different the moment any record is
         added or evicted.  The serving tier combines it with an experiment's
         own content hash into an ETag, so "has anything this table depends
-        on changed?" costs one in-memory hash and zero record reads.
+        on changed?" costs one in-memory hash and zero record reads — and
+        only once per change: the stamp is memoised against :attr:`_version`.
         """
-        digest = hashlib.sha256("\n".join(sorted(self.keys())).encode("ascii"))
-        return digest.hexdigest()[:16]
+        memo = self._generation_memo
+        if memo is None or memo[0] != self._version:
+            digest = hashlib.sha256("\n".join(sorted(self.keys())).encode("ascii"))
+            memo = self._generation_memo = (self._version, digest.hexdigest()[:16])
+        return memo[1]
+
+    def _ordered_records(self) -> List[RunRecord]:
+        """Every stored record in canonical order, sorted once per change.
+
+        The version is read *after* the scan: reading records may itself
+        change the store (a file store drops a dangling index entry lazily),
+        and the memo must describe the state the scan ended in.
+        """
+        memo = self._order_memo
+        if memo is None or memo[0] != self._version:
+            records = sorted(self.records(), key=_canonical_order)
+            memo = self._order_memo = (self._version, records)
+        return memo[1]
 
     def refresh(self) -> bool:
         """Pick up records concurrently written by other handles/processes.
@@ -187,7 +215,7 @@ class ResultStore:
                 seen.add(record.spec.key())
                 candidates.append(record)
         else:
-            candidates = self.records()
+            candidates = self._ordered_records()
         selected = []
         for record in candidates:
             if problem_prefix is not None and not record.spec.problem.startswith(
@@ -204,7 +232,8 @@ class ResultStore:
                 continue
             selected.append(record)
         result = SweepResult(records=selected).filter(**matches) if matches else SweepResult(records=selected)
-        result.records.sort(key=_canonical_order)
+        if keys is not None:
+            result.records.sort(key=_canonical_order)
         if offset or limit is not None:
             stop = None if limit is None else offset + limit
             result.records[:] = result.records[offset:stop]

@@ -35,9 +35,10 @@ Several processes may hold the same store open as long as each passes a
 distinct ``writer`` name: a writer appends only to its **own** shard
 namespace (``<prefix>--<writer>.jsonl``), so two writers never interleave
 bytes within one file, while the shared ``index.jsonl`` is appended one
-atomic line at a time under an advisory ``flock``.  Writers do not see each
-other's un-reopened records (each process caches its own index) — that is
-fine for the intended use, a fleet of queue workers computing *disjoint*
+atomic line at a time under an advisory ``flock``.  Each handle caches the
+index it has read, so writers see each other's records only after
+:meth:`FileStore.refresh` (which reads just the appended index tail) — that
+is fine for the intended use, a fleet of queue workers computing *disjoint*
 content-addressed cells.  :meth:`gc` later collapses writer namespaces back
 into canonical shards, and :meth:`rebuild_index` reconciles the index with
 whatever the shards actually hold.
@@ -51,7 +52,7 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, Optional, Tuple
+from typing import Any, Dict, IO, Iterator, List, Optional, Set, Tuple
 
 try:  # pragma: no cover - fcntl is present on every POSIX platform we run on
     import fcntl
@@ -82,13 +83,14 @@ _SHARD_DIR = "shards"
 _WRITER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
 
-def _append_line(handle: IO[str], payload: Dict[str, Any], fsync: bool) -> int:
+def _append_line(handle: IO[str], payload: Dict[str, Any], fsync: bool) -> bytes:
+    """Append ``payload`` as one JSON line; return the line's bytes."""
     line = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     handle.write(line)
     handle.flush()
     if fsync:
         os.fsync(handle.fileno())
-    return len(line.encode("utf-8"))
+    return line.encode("utf-8")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -98,7 +100,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _split_lines(text: str) -> Tuple[list, bool]:
-    """Split shard/index text into complete lines; flag an unterminated tail.
+    """Split shard text into complete lines; flag an unterminated tail.
 
     A line is only trusted once its terminating newline hit the disk, so the
     partial tail of a killed write is excluded from the body and reported.
@@ -163,7 +165,14 @@ class FileStore(ResultStore):
         self._truncated_dropped = 0
         self._last_read: Dict[str, float] = {}
         self._lastread_dirty = False
-        self._index_seen: Optional[Tuple[int, int]] = None
+        # How much of index.jsonl this handle has consumed: the byte offset
+        # just past the last complete line read, that line itself (to tell
+        # a grown index from a rewritten one), the line count (for error
+        # messages) and the (inode, size, mtime) of the file at that read.
+        self._index_offset = 0
+        self._index_tail = b""
+        self._index_lines = 0
+        self._index_stat: Optional[Tuple[int, int, int]] = None
         self._open(create)
 
     # ------------------------------------------------------------------
@@ -265,13 +274,13 @@ class FileStore(ResultStore):
         except (OSError, json.JSONDecodeError, AttributeError):
             self._last_read = {}
 
-    def _index_fingerprint(self) -> Optional[Tuple[int, int]]:
-        """Cheap change detector for ``index.jsonl``: ``(size, mtime_ns)``."""
+    def _index_fingerprint(self) -> Optional[Tuple[int, int, int]]:
+        """Cheap change detector for ``index.jsonl``: ``(inode, size, mtime_ns)``."""
         try:
             stat = os.stat(self._index_path)
         except OSError:
             return None
-        return (stat.st_size, stat.st_mtime_ns)
+        return (stat.st_ino, stat.st_size, stat.st_mtime_ns)
 
     def _load_index(self) -> None:
         """Load ``index.jsonl``, falling back to a shard scan when needed.
@@ -288,34 +297,83 @@ class FileStore(ResultStore):
         shard bytes in the steady state, however large the store; the full
         reconciliation lives in :meth:`rebuild_index` and :meth:`gc`.
         """
-        counts: Dict[str, int] = {}
-        if self._index_path.exists():
-            body, truncated = _split_lines(self._index_path.read_text(encoding="utf-8"))
-            if truncated:
-                self._truncated_dropped += 1
-            for lineno, line in enumerate(body, start=1):
-                try:
-                    entry = json.loads(line)
-                    key, shard = entry["key"], entry["shard"]
-                except (json.JSONDecodeError, KeyError, TypeError) as error:
-                    raise StoreCorruptionError(
-                        f"corrupt index line {lineno} in {self._index_path}: {error}"
-                    )
-                self._index[key] = shard
-                counts[shard] = counts.get(shard, 0) + 1
+        self._index = {}
+        self._shard_cache = {}
+        self._index_offset, self._index_tail, self._index_lines = 0, b"", 0
+        self._index_stat = None
+        named = self._consume_index() or set()
+        if self._index_stat is not None and self._index_stat[1] > self._index_offset:
+            self._truncated_dropped += 1
         shard_dir = self.root / _SHARD_DIR
         for path in sorted(shard_dir.glob("*.jsonl")):
             shard = path.stem
-            if counts.get(shard, 0):
+            if shard in named:
                 continue
             for key in self._load_shard(shard):
                 if key not in self._index:
                     self._index[key] = shard
                     with self._locked():
-                        _append_line(
-                            self._index_append_handle(), {"key": key, "shard": shard}, self.fsync
-                        )
-        self._index_seen = self._index_fingerprint()
+                        self._append_index_line(key, shard)
+        self._version += 1
+
+    def _consume_index(self) -> Optional[Set[str]]:
+        """Apply the index lines appended since this handle last read.
+
+        Reads ``index.jsonl`` from the consumed offset up to the size it has
+        when opened, applies every *complete* line (a half-written tail
+        waits for its newline) and drops the cached parse of each shard a
+        line names — those files grew.  Returns the set of named shards, or
+        ``None`` when the file no longer extends what was consumed: it
+        shrank, vanished or was replaced (``gc``, ``rebuild_index``), and
+        only a full :meth:`_load_index` is sound.
+        """
+        offset, tail = self._index_offset, self._index_tail
+        try:
+            handle = self._index_path.open("rb")
+        except FileNotFoundError:
+            return None if self._index_stat is not None else set()
+        with handle:
+            stat = os.fstat(handle.fileno())
+            if stat.st_size < offset or (
+                self._index_stat is not None and stat.st_ino != self._index_stat[0]
+            ):
+                return None
+            start = offset - len(tail)
+            handle.seek(start)
+            data = handle.read(stat.st_size - start)
+        if not data.startswith(tail):
+            return None
+        self._index_stat = (stat.st_ino, stat.st_size, stat.st_mtime_ns)
+        end = data.rfind(b"\n") + 1
+        named: Set[str] = set()
+        if end <= len(tail):
+            return named
+        for line in data[len(tail) : end - 1].decode("utf-8").split("\n"):
+            self._index_lines += 1
+            try:
+                entry = json.loads(line)
+                key, shard = entry["key"], entry["shard"]
+            except (json.JSONDecodeError, KeyError, TypeError) as error:
+                raise StoreCorruptionError(
+                    f"corrupt index line {self._index_lines} in {self._index_path}: {error}"
+                )
+            self._index[key] = shard
+            named.add(shard)
+        for shard in named:
+            self._shard_cache.pop(shard, None)
+        self._index_offset = start + end
+        self._index_tail = data[data.rfind(b"\n", 0, end - 1) + 1 : end]
+        self._version += 1
+        return named
+
+    def _index_rewritten(self, text: str) -> None:
+        """Mark ``text``, just written as the whole index under the lock, consumed."""
+        data = text.encode("utf-8")
+        self._index_offset = len(data)
+        self._index_tail = data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
+        self._index_lines = data.count(b"\n")
+        self._index_stat = self._index_fingerprint()
+        self._version += 1
 
     def refresh(self) -> bool:
         """Make records appended by *other* handles of this store visible.
@@ -323,21 +381,30 @@ class FileStore(ResultStore):
         Concurrent writer processes append to their own shard namespaces and
         to the shared index, but an open handle caches the index it loaded —
         so a long-lived reader (the HTTP result service above a live worker
-        fleet) calls this between requests.  One ``stat`` of ``index.jsonl``
-        when nothing changed; a reload of the index (plus invalidation of
-        the parsed-shard cache, whose files may have grown) when it did.
+        fleet) calls this between requests.  The cost follows what changed,
+        not what the store holds:
+
+        * nothing changed — one ``stat`` of ``index.jsonl``;
+        * the index grew — only the appended tail is read, up to its last
+          complete line, and only the shards those lines name lose their
+          cached parse;
+        * the index was rewritten (``gc``, ``rebuild_index``) or shrank — a
+          full reload, the one case that re-reads the whole index.
+
+        Returns ``True`` when new index entries became visible.
         """
         refreshes = get_registry().counter(
             "repro_store_index_refreshes_total", "refresh() calls by outcome"
         )
-        if self._index_fingerprint() == self._index_seen:
+        if self._index_fingerprint() == self._index_stat:
             refreshes.inc(changed="false")
             return False
-        self._index = {}
-        self._shard_cache = {}
-        self._load_index()
-        refreshes.inc(changed="true")
-        return True
+        named = self._consume_index()
+        if named is None:
+            self._load_index()
+        changed = named is None or bool(named)
+        refreshes.inc(changed="true" if changed else "false")
+        return changed
 
     def _iter_shard_lines(self, shard: str):
         path = self._shard_path(shard)
@@ -409,6 +476,7 @@ class FileStore(ResultStore):
         if record is None:
             # Index ahead of the shard (in-flight cell of a killed sweep).
             del self._index[digest]
+            self._version += 1
             return None
         self._touch(digest)
         return record
@@ -419,15 +487,15 @@ class FileStore(ResultStore):
 
     def _append_record(self, key: str, record: RunRecord) -> None:
         shard = self._shard_for(key)
-        nbytes = _append_line(
-            self._shard_append_handle(shard),
-            {"key": key, "record": record.to_dict()},
-            self.fsync,
+        nbytes = len(
+            _append_line(
+                self._shard_append_handle(shard),
+                {"key": key, "record": record.to_dict()},
+                self.fsync,
+            )
         )
         with self._locked():
-            nbytes += _append_line(
-                self._index_append_handle(), {"key": key, "shard": shard}, self.fsync
-            )
+            nbytes += self._append_index_line(key, shard)
         registry = get_registry()
         registry.counter(
             "repro_store_appends_total", "Records appended to the file store"
@@ -436,12 +504,32 @@ class FileStore(ResultStore):
             "repro_store_bytes_written_total", "Shard and index bytes appended"
         ).inc(nbytes)
         self._index[key] = shard
+        self._version += 1
         if shard in self._shard_cache:
             # Keep the cache coherent; re-parse is wasteful for an append.
             self._shard_cache[shard][key] = record
-        # Our own append is already visible; don't let refresh() reload for it.
-        self._index_seen = self._index_fingerprint()
         self._touch(key)
+
+    def _append_index_line(self, key: str, shard: str) -> int:
+        """Append one index line (the caller holds the lock); return its size.
+
+        The handle's own line counts as consumed only when nothing unread
+        precedes it.  Lines another writer appended since the last read stay
+        unread, and so does this one, for :meth:`refresh` to pick up
+        together — advancing past them would hide them for good.
+        """
+        before = self._index_fingerprint()
+        line = _append_line(
+            self._index_append_handle(before), {"key": key, "shard": shard}, self.fsync
+        )
+        if before == self._index_stat and (
+            before is None or before[1] == self._index_offset
+        ):
+            self._index_offset += len(line)
+            self._index_tail = line
+            self._index_lines += 1
+            self._index_stat = self._index_fingerprint()
+        return len(line)
 
     def put(self, record: RunRecord) -> str:
         key = record.spec.key()
@@ -466,6 +554,18 @@ class FileStore(ResultStore):
     def keys(self) -> Tuple[str, ...]:
         return tuple(self._index)
 
+    def _ordered_records(self) -> List[RunRecord]:
+        memo = self._order_memo
+        served_from_memo = memo is not None and memo[0] == self._version
+        records = super()._ordered_records()
+        if served_from_memo and self._index:
+            # A full scan reads every record: stamp them as get() would.
+            stamps, clock = self._last_read, time.time
+            for key in self._index:
+                stamps[key] = clock()
+            self._lastread_dirty = True
+        return records
+
     # ------------------------------------------------------------------
     # handles / lifecycle
     # ------------------------------------------------------------------
@@ -478,10 +578,20 @@ class FileStore(ResultStore):
             self._handles[shard] = handle
         return handle
 
-    def _index_append_handle(self) -> IO[str]:
-        if self._index_handle is None:
-            self._index_handle = self._index_path.open("a", encoding="utf-8")
-        return self._index_handle
+    def _index_append_handle(self, current: Optional[Tuple[int, int, int]]) -> IO[str]:
+        """The append handle of ``index.jsonl``, reopened when the file at
+        the path (``current`` fingerprint) is no longer the one it holds —
+        another handle rewrote the index, and appending to the old inode
+        would lose the line."""
+        handle = self._index_handle
+        if handle is not None and (
+            current is None or os.fstat(handle.fileno()).st_ino != current[0]
+        ):
+            handle.close()
+            handle = None
+        if handle is None:
+            handle = self._index_handle = self._index_path.open("a", encoding="utf-8")
+        return handle
 
     def flush(self) -> None:
         for handle in self._handles.values():
@@ -620,12 +730,13 @@ class FileStore(ResultStore):
                         json.dumps({"key": key, "shard": shard}, sort_keys=True, separators=(",", ":"))
                     )
                     new_index[key] = shard
-            _atomic_write(self._index_path, "\n".join(index_lines) + "\n" if index_lines else "")
+            index_text = "\n".join(index_lines) + "\n" if index_lines else ""
+            _atomic_write(self._index_path, index_text)
+            self._index_rewritten(index_text)
         after = sum(
             path.stat().st_size for path in (self.root / _SHARD_DIR).glob("*.jsonl")
         )
         self._index = new_index
-        self._index_seen = self._index_fingerprint()
         self._shard_cache = dict(by_shard)
         self._truncated_dropped = 0
         self._persist_last_read(
@@ -655,18 +766,18 @@ class FileStore(ResultStore):
             for path in sorted((self.root / _SHARD_DIR).glob("*.jsonl")):
                 for key in self._parse_shard(path.stem, salvage=self.salvage)[0]:
                     entries[key] = path.stem
-            _atomic_write(
-                self._index_path,
+            index_text = (
                 "\n".join(
                     json.dumps({"key": key, "shard": shard}, sort_keys=True, separators=(",", ":"))
                     for key, shard in entries.items()
                 )
                 + "\n"
                 if entries
-                else "",
+                else ""
             )
+            _atomic_write(self._index_path, index_text)
+            self._index_rewritten(index_text)
         self._index = entries
-        self._index_seen = self._index_fingerprint()
         return len(entries)
 
     def stats(self) -> Dict[str, Any]:

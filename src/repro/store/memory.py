@@ -30,12 +30,15 @@ class MemoryStore(ResultStore):
 
     def put(self, record: RunRecord) -> str:
         key = record.spec.key()
-        self._records.setdefault(key, record)
+        if key not in self._records:
+            self._records[key] = record
+            self._version += 1
         return key
 
     def put_replace(self, record: RunRecord) -> str:
         key = record.spec.key()
         self._records[key] = record
+        self._version += 1
         return key
 
     def keys(self) -> Tuple[str, ...]:
@@ -44,3 +47,4 @@ class MemoryStore(ResultStore):
     def clear(self) -> None:
         """Drop every stored record."""
         self._records.clear()
+        self._version += 1

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
 
 from repro.exceptions import ReproError
-from repro.runtime import ScenarioSpec, SweepSpec
+from repro.runtime import ScenarioSpec, SweepSpec, spec_key
 
 
 class TestScenarioSpec:
@@ -97,6 +98,52 @@ class TestScenarioSpec:
         spec = ScenarioSpec(size=6)
         bigger = spec.replace(size=12)
         assert spec.size == 6 and bigger.size == 12
+
+
+class TestMemoisedKey:
+    """key() hashes once per instance and is invisible everywhere else."""
+
+    SPEC = ScenarioSpec(
+        problem="teams", size=7, seed=3, team_size=3, scheduler_params={"patience": 4}
+    )
+
+    def test_key_is_computed_once_and_equals_spec_key(self, monkeypatch):
+        from repro.runtime import spec as spec_module
+
+        spec = ScenarioSpec(size=9, seed=5)
+        calls = []
+        original = spec_module.spec_key
+
+        def counting(value):
+            calls.append(value)
+            return original(value)
+
+        monkeypatch.setattr(spec_module, "spec_key", counting)
+        assert spec.key() == spec.key() == original(spec)
+        assert calls == [spec]
+
+    def test_key_survives_a_pickle_round_trip(self):
+        spec = ScenarioSpec(**self.SPEC.to_dict())
+        spec.key()
+        clone = pickle.loads(pickle.dumps(spec))
+        assert clone == spec and clone.key() == spec_key(clone) == spec.key()
+
+    def test_replace_and_dataclasses_replace_hash_afresh(self):
+        spec = ScenarioSpec(**self.SPEC.to_dict())
+        spec.key()
+        for changed in (spec.replace(seed=4), dataclasses.replace(spec, seed=4)):
+            assert changed.key() == spec_key(changed) != spec.key()
+        assert spec.replace(name="label").key() == spec.key()
+
+    def test_memo_does_not_leak_into_equality_hash_or_serialisation(self):
+        fresh = ScenarioSpec(**self.SPEC.to_dict())
+        keyed = ScenarioSpec(**self.SPEC.to_dict())
+        before = (keyed.to_dict(), keyed.to_json(), hash(keyed))
+        keyed.key()
+        assert keyed == fresh and hash(keyed) == hash(fresh)
+        assert (keyed.to_dict(), keyed.to_json(), hash(keyed)) == before
+        assert "_key" not in keyed.to_dict() and "_key" not in keyed.to_json()
+        assert ScenarioSpec.from_json(keyed.to_json()).key() == keyed.key()
 
 
 class TestSweepSpec:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
+from urllib.parse import parse_qs, urlencode, urlsplit
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.distrib.worker import Worker
 from repro.runtime.executors import run_sweep
 from repro.runtime.spec import SweepSpec
 from repro.serve import ResultService, SweepJobs, job_id, make_server
+from repro.serve.app import _Handler
 from repro.store import FileStore, MemoryStore, merge_stores
 
 from .test_experiments import golden
@@ -44,6 +48,22 @@ def tiny(request):
         )
     request.addfinalizer(lambda: EXPERIMENTS._entries.pop(TINY, None))
     return TINY
+
+
+@pytest.fixture()
+def live(tiny, tmp_path):
+    """A real server on an ephemeral port: ``(service, (host, port))``."""
+    store = FileStore(tmp_path / "store")
+    run_sweep(TINY_SWEEP, store=store)
+    service = ResultService(store, queue=str(tmp_path / "q"))
+    server = make_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield service, server.server_address[:2]
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    store.close()
 
 
 def body_of(response):
@@ -319,19 +339,9 @@ class TestOverHTTP:
     """A few requests through a real socket — the plumbing, not the logic."""
 
     @pytest.fixture()
-    def served(self, tiny, tmp_path):
-        store = FileStore(tmp_path / "store")
-        run_sweep(TINY_SWEEP, store=store)
-        service = ResultService(store, queue=str(tmp_path / "q"))
-        server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}"
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        store.close()
+    def served(self, live):
+        host, port = live[1]
+        return f"http://{host}:{port}"
 
     def test_get_and_conditional_get(self, served, tiny):
         with urllib.request.urlopen(f"{served}/experiments/{tiny}") as response:
@@ -363,6 +373,104 @@ class TestOverHTTP:
             urllib.request.urlopen(f"{served}/bogus")
         assert err.value.code == 404
         assert "error" in json.load(err.value)
+
+
+class _RecordingSocket(socket.socket):
+    """A real TCP socket that records every chunk the server sends."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.chunks = []
+
+    def send(self, data, *args):
+        self.chunks.append(bytes(data))
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.chunks.append(bytes(data))
+        return super().sendall(data, *args)
+
+
+def _split_response(raw: bytes):
+    """``(status, headers, body)`` of one complete raw HTTP response."""
+    head, _, body = raw.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines[1:])
+    return int(lines[0].split()[1]), headers, body
+
+
+class TestKeepAlive:
+    """Many requests over one connection: bytes, statuses, and one write each."""
+
+    def test_one_connection_serves_every_response_byte_identically(self, live, tiny):
+        service, address = live
+        keys = sorted(service.store.keys())
+        etags = {}
+        plan = []
+        for round_ in range(3):
+            for fmt in ("markdown", "json"):
+                plan.append(("experiment", f"/experiments/{tiny}", {"format": fmt}))
+                plan.append(("conditional", f"/experiments/{tiny}", {"format": fmt}))
+            plan.append(("runs", "/runs", {"limit": "2", "offset": str(round_)}))
+            plan.append(("run", f"/runs/{keys[round_]}", {}))
+            plan.append(("error", "/runs", {"limit": "0"}))
+            plan.append(("error", "/no-such-endpoint", {}))
+        conn = http.client.HTTPConnection(*address, timeout=10)
+        statuses = []
+        sock = None
+        for kind, path, params in plan:
+            headers = {}
+            if kind == "conditional":
+                headers["If-None-Match"] = etags[params["format"]]
+            query = f"?{urlencode(params)}" if params else ""
+            conn.request("GET", path + query, headers=headers)
+            response = conn.getresponse()
+            body = response.read()
+            sock = sock or conn.sock
+            assert conn.sock is sock  # still the first connection
+            expected = service.handle("GET", path, params=params, headers=headers)
+            assert response.status == expected.status
+            assert body == expected.body
+            if kind == "experiment":
+                assert response.getheader("ETag") == expected.headers["ETag"]
+                etags[params["format"]] = response.getheader("ETag")
+            statuses.append(response.status)
+        conn.close()
+        assert len(plan) >= 20
+        assert {200, 304, 400, 404} <= set(statuses)
+
+    def test_each_small_response_leaves_in_one_write(self, tiny):
+        store = MemoryStore()
+        run_sweep(TINY_SWEEP, store=store)
+        service = ResultService(store)
+        key = sorted(store.keys())[0]
+        paths = ["/healthz", f"/experiments/{tiny}?format=json", "/runs?limit=2",
+                 f"/runs/{key}", "/no-such-endpoint"]
+        requests = b"".join(
+            f"GET {path} HTTP/1.1\r\nHost: test\r\n\r\n".encode() for path in paths
+        ) + b"GET /healthz HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n"
+        paths.append("/healthz")
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            client = socket.create_connection(listener.getsockname())
+            accepted, peer = listener.accept()
+        with client:
+            client.sendall(requests)
+            conn = _RecordingSocket(
+                accepted.family, accepted.type, accepted.proto, fileno=accepted.detach()
+            )
+            conn.settimeout(10)  # a handler waiting for more input fails, not hangs
+            with conn:
+                handler = type("Recorded", (_Handler,), {"service": service})
+                handler(conn, peer, None)
+                assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        assert len(conn.chunks) == len(paths)
+        for chunk, path in zip(conn.chunks, paths):
+            status, headers, body = _split_response(chunk)
+            assert int(headers["Content-Length"]) == len(body)
+            parsed = urlsplit(path)
+            params = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
+            expected = service.handle("GET", parsed.path, params=params)
+            assert (status, body) == (expected.status, expected.body)
 
 
 class TestReadWhileWrite:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -94,6 +95,18 @@ class TestMemoryStore:
 
     def test_miss_returns_none(self):
         assert MemoryStore().get(ScenarioSpec()) is None
+
+    def test_queries_and_generation_follow_every_mutation(self):
+        store = MemoryStore()
+        record = run(ScenarioSpec(size=4))
+        empty = store.generation()
+        store.put(record)
+        assert store.query().records == [record] and store.generation() != empty
+        replaced = dataclasses.replace(record, cost=record.cost + 1)
+        store.put_replace(replaced)
+        assert store.query().records == [replaced]
+        store.clear()
+        assert store.query().records == [] and store.generation() == empty
 
 
 class TestFileStore:
@@ -515,3 +528,157 @@ class TestGenerationAndRefresh:
                 result = store.query(keys=[target])
             assert len(result) == 1
             assert parsed == [store._index[target]]
+
+
+class TestIncrementalRefresh:
+    """refresh() reads what other handles appended, not the whole index."""
+
+    EXTRA = ScenarioSpec(size=8, seed=3)
+
+    @pytest.fixture()
+    def root(self, tmp_path):
+        with FileStore(tmp_path / "store") as store:
+            run_sweep(GRID, store=store)
+        return tmp_path / "store"
+
+    def test_refresh_parses_only_the_appending_writers_shard(self, root, monkeypatch):
+        reader = FileStore(root)
+        assert len(reader.query()) == len(GRID)  # every canonical shard parsed
+        canonical = set(reader._shard_cache)
+        with FileStore(root, writer="w") as writer:
+            writer.put(run(self.EXTRA))
+        parsed = []
+        original = FileStore._parse_shard
+
+        def spy(self, shard, salvage=False):
+            parsed.append(shard)
+            return original(self, shard, salvage)
+
+        monkeypatch.setattr(FileStore, "_parse_shard", spy)
+        monkeypatch.setattr(FileStore, "_load_index", lambda self: pytest.fail("full reload"))
+        assert reader.refresh() is True
+        result = reader.query()
+        assert len(result) == len(GRID) + 1
+        assert self.EXTRA.key() in {record.spec.key() for record in result}
+        assert parsed == [f"{self.EXTRA.key()[:2]}--w"]
+        assert canonical <= set(reader._shard_cache)
+        reader.close()
+
+    def test_half_written_index_line_waits_for_its_newline(self, root):
+        reader = FileStore(root)
+        record = run(self.EXTRA)
+        with FileStore(root, writer="w") as writer:
+            writer.put(record)
+        index = root / "index.jsonl"
+        data = index.read_bytes()
+        last = data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
+        index.write_bytes(data[: -len(last)] + last[:10])
+        assert reader.refresh() is False
+        assert self.EXTRA.key() not in reader.keys()
+        with index.open("ab") as handle:
+            handle.write(last[10:])
+        assert reader.refresh() is True
+        assert reader.get(self.EXTRA) == record
+        assert len(reader) == len(GRID) + 1
+        reader.close()
+
+    @pytest.mark.parametrize("rewrite", ["gc", "rebuild_index"])
+    def test_index_rewritten_smaller_reloads_in_full(self, root, rewrite):
+        record = run(self.EXTRA)
+        with FileStore(root, writer="w") as writer:
+            writer.put(record)
+            writer.put_replace(record)  # a duplicate index line to compact away
+        reader = FileStore(root)
+        assert len(reader.query()) == len(GRID) + 1
+        index = root / "index.jsonl"
+        before = index.stat().st_size
+        with FileStore(root) as other:
+            getattr(other, rewrite)()
+        assert index.stat().st_size < before
+        reloads = []
+        original = FileStore._load_index
+
+        def spy(self):
+            reloads.append(True)
+            return original(self)
+
+        with pytest.MonkeyPatch.context() as patcher:
+            patcher.setattr(FileStore, "_load_index", spy)
+            assert reader.refresh() is True
+        assert reloads == [True]
+        with FileStore(root) as fresh:
+            assert reader.query().records == fresh.query().records
+            assert reader.generation() == fresh.generation()
+        assert reader.get(self.EXTRA) == record
+        reader.close()
+
+    def test_another_handles_append_to_a_cached_shard_is_seen(self, root):
+        reader = FileStore(root)
+        original = reader.query().records[0]
+        replaced = dataclasses.replace(original, cost=original.cost + 1)
+        with FileStore(root) as other:  # same canonical shard as the reader's cache
+            other.put_replace(replaced)
+        assert reader.refresh() is True
+        assert reader.get(original.spec) == replaced
+        assert replaced in reader.query().records
+        reader.close()
+
+    def test_index_rewritten_in_place_reloads_in_full(self, root):
+        reader = FileStore(root)
+        record = run(self.EXTRA)
+        with FileStore(root, writer="w") as writer:
+            writer.put(record)
+        index = root / "index.jsonl"
+        lines = index.read_bytes().splitlines(keepends=True)
+        index.write_bytes(b"".join(reversed(lines)))  # same inode, longer, reordered
+        assert reader.refresh() is True
+        assert reader.get(self.EXTRA) == record
+        with FileStore(root) as fresh:
+            assert sorted(reader.keys()) == sorted(fresh.keys())
+        reader.close()
+
+    def test_generation_moves_exactly_when_the_key_set_does(self, root):
+        store = FileStore(root)
+        start = store.generation()
+        store.query()
+        store.get(next(iter(store.keys())))
+        assert store.refresh() is False
+        assert store.generation() == start
+
+        store.put(run(self.EXTRA))
+        after_put = store.generation()
+        assert after_put != start
+
+        with FileStore(root, writer="w") as writer:
+            writer.put(run(ScenarioSpec(size=9, seed=3)))
+        assert store.generation() == after_put  # not seen until refresh()
+        assert store.refresh() is True
+        after_refresh = store.generation()
+        assert after_refresh != after_put
+        assert store.refresh() is False
+        assert store.generation() == after_refresh
+
+        store.gc(max_records=len(store) - 1)
+        after_gc = store.generation()
+        assert after_gc != after_refresh
+        assert store.generation() == after_gc
+
+        # An index entry whose shard lacks the record: visible after the
+        # refresh, dropped lazily by get() — and the stamp follows both.
+        missing = ScenarioSpec(size=11, seed=3).key()
+        shard = store._index[next(iter(store.keys()))]
+        with (root / "index.jsonl").open("a") as handle:
+            handle.write(json.dumps({"key": missing, "shard": shard}) + "\n")
+        assert store.refresh() is True
+        assert store.generation() != after_gc
+        assert store.get(missing) is None
+        assert store.generation() == after_gc
+        store.close()
+
+    def test_queries_from_the_sorted_snapshot_still_stamp_every_record(self, root):
+        with FileStore(root) as store:
+            store.query()
+            assert set(store._last_read) == set(store.keys())
+            store._last_read = dict.fromkeys(store.keys(), 0.0)
+            store.query(problem="rendezvous", limit=1)  # served from the snapshot
+            assert all(stamp > 0.0 for stamp in store._last_read.values())

@@ -125,6 +125,44 @@ class TestWriterNamespaces:
         with FileStore(root) as reopened:
             assert len(reopened) == 1
 
+    def test_own_put_does_not_hide_another_writers_appends(self, tmp_path):
+        """Regression: a handle's own put used to mark the whole index as
+        read, so lines another writer appended just before were never seen."""
+        root = tmp_path / "s"
+        a = FileStore(root, writer="a")
+        b = FileStore(root, writer="b")
+        first, second = _record(4), _record(5)
+        b.put(first)
+        b.flush()
+        a.put(second)
+        assert a.refresh() is True
+        assert set(a.keys()) == {first.spec.key(), second.spec.key()}
+        assert a.get(first.spec) == first and a.get(second.spec) == second
+        assert a.refresh() is False
+        a.close()
+        b.close()
+
+    def test_append_after_another_handle_rewrote_the_index_is_kept(self, tmp_path):
+        """An index append handle opened before a rewrite must not write
+        into the replaced file, where the line would be lost."""
+        root = tmp_path / "s"
+        a = FileStore(root, writer="a")
+        a.put(_record(4))
+        a.flush()
+        with FileStore(root) as other:
+            other.rebuild_index()
+        late = _record(5)
+        a.put(late)
+        a.close()
+        indexed = [
+            json.loads(line)["key"]
+            for line in (root / "index.jsonl").read_text().splitlines()
+        ]
+        assert late.spec.key() in indexed
+        with FileStore(root) as reopened:
+            assert reopened.get(late.spec) == late
+            assert len(reopened) == 2
+
 
 class TestPutReplace:
     def test_put_replace_shadows_and_gc_keeps_last(self, tmp_path):
