@@ -22,24 +22,15 @@ _SESSION = {"stamp": None}
 
 
 def _load_results() -> dict:
-    """Read ``BENCH_results.json``, upgrading the legacy flat layout.
-
-    Pre-history files were a plain ``{name: entry}`` mapping (overwritten on
-    every run); they become the first history entry with a ``None``
-    timestamp so no measured point is lost in the migration.
-    """
+    """Read ``BENCH_results.json``; a missing or unreadable file starts empty."""
     try:
         data = json.loads(BENCH_RESULTS.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return {"history": [], "latest": {}}
-    if not isinstance(data, dict):
+    if not isinstance(data, dict) or not isinstance(data.get("history"), list):
         return {"history": [], "latest": {}}
-    if isinstance(data.get("history"), list):
-        data.setdefault("latest", {})
-        return data
-    legacy = {name: entry for name, entry in data.items() if isinstance(entry, dict)}
-    history = [{"timestamp": None, "benches": legacy}] if legacy else []
-    return {"history": history, "latest": dict(legacy)}
+    data.setdefault("latest", {})
+    return data
 
 
 def record_bench(

@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Every benchmark regenerates one of the experiment tables defined in
-EXPERIMENTS.md (E1–E6 and F1–F4).  The runs are macro-benchmarks — a single
-execution of an experiment driver — so they use ``benchmark.pedantic`` with a
+Every benchmark regenerates one of the registered experiment tables (E1–E6
+and F1–F4).  The runs are macro-benchmarks — a single execution of an
+experiment spec — so they use ``benchmark.pedantic`` with a
 single round and print the resulting table, which therefore also ends up in
 ``bench_output.txt`` when the suite is run with ``--benchmark-only``.
 """

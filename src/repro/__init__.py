@@ -13,8 +13,8 @@ Pelc, Villain, PODC 2013) describes or depends on:
   versus walks, meetings inside edges, cost accounting);
 * :mod:`repro.teams` — Algorithm SGL and the four multi-agent applications
   (team size, leader election, perfect renaming, gossiping);
-* :mod:`repro.analysis` — the experiment drivers regenerating the paper's
-  figures and the derived tables of EXPERIMENTS.md;
+* :mod:`repro.analysis` — the registered experiment specs regenerating the
+  paper's figures and the derived tables (``repro experiment --list``);
 * :mod:`repro.runtime` — the unified scenario runtime: declarative
   JSON-round-trippable specs, component registries, and batched
   (serial or multi-process) sweep execution.

@@ -17,10 +17,7 @@ Public API
 * fitting: :func:`~repro.analysis.fitting.fit_power_law`,
   :func:`~repro.analysis.fitting.fit_exponential`,
   :func:`~repro.analysis.fitting.classify_growth`
-* tables: :func:`~repro.analysis.tables.format_table`,
-  :func:`~repro.analysis.tables.format_records`
-* experiments: backwards-compatible wrappers
-  (:mod:`repro.analysis.experiments`)
+* tables: :func:`~repro.analysis.tables.format_table`
 """
 
 from .aggregate import (
@@ -44,8 +41,7 @@ from .experiment_spec import (
 )
 from .fitting import FitResult, classify_growth, fit_exponential, fit_power_law
 from .render import FORMATS, TableData, render
-from .tables import format_records, format_table
-from . import experiments
+from .tables import format_table
 from ..ticksim import experiments as _tick_experiments  # noqa: F401  (registers T1-T3)
 
 __all__ = [
@@ -71,7 +67,5 @@ __all__ = [
     "FORMATS",
     "TableData",
     "render",
-    "format_records",
     "format_table",
-    "experiments",
 ]

@@ -1,7 +1,7 @@
 """Experiments as frozen, registered, JSON-round-trippable specs.
 
 An :class:`ExperimentSpec` bundles everything that defines one of the
-reproduction's tables (EXPERIMENTS.md):
+reproduction's tables (``repro experiment --list`` names them):
 
 * **what to run** — a declarative :class:`~repro.runtime.spec.SweepSpec`
   grid, or an explicit cell list when the sweep is not rectangular (the
@@ -36,10 +36,9 @@ from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..exceptions import ReproError
-from ..graphs.families import named_family
 from ..runtime.executors import Executor, run_sweep
 from ..runtime.records import RunRecord, SweepResult
-from ..runtime.registry import Registry
+from ..runtime.registry import GRAPH_FAMILIES, Registry
 from ..runtime.spec import ScenarioSpec, SweepSpec, canonical_json
 from .aggregate import apply_pipeline, evaluate_footers
 from .render import TableData, render
@@ -710,11 +709,10 @@ def team_scaling_cells(
     seed: int = 0,
 ) -> List[ScenarioSpec]:
     """The E6 grid as explicit cells (not rectangular: team sizes that
-    exceed the actually built graph are skipped).  Shared by the registered
-    experiment and the E6 benchmark so the skip rule lives in one place."""
+    exceed the actually built graph are skipped)."""
     cells: List[ScenarioSpec] = []
     for n in sizes:
-        graph_size = named_family(family, n, rng_seed=seed).size
+        graph_size = GRAPH_FAMILIES.create(family, n, seed).size
         for k in team_sizes:
             if k > graph_size:
                 continue

@@ -6,8 +6,8 @@ replaced by a single :func:`render` over a :class:`TableData` — the uniform
 Three output formats:
 
 * ``markdown`` — the aligned monospace table the repository has always
-  printed (byte-identical to the historical renderers; EXPERIMENTS.md and
-  the benchmark artifacts embed it);
+  printed (byte-identical to the historical renderers; the golden tables
+  under ``tests/golden/`` and the benchmark artifacts embed it);
 * ``csv`` — RFC-4180 rows for spreadsheets and downstream tooling (footers,
   being prose, are omitted);
 * ``json`` — the full document (title, columns, rows, footers), with

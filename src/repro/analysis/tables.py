@@ -1,16 +1,16 @@
 """Plain-text result tables.
 
 The paper has no empirical tables, so the reproduction's "tables" are the
-experiment summaries defined in EXPERIMENTS.md.  This module renders them as
-aligned monospace tables (the benchmarks print them, the CLI shows them, and
-EXPERIMENTS.md embeds them).
+summaries of the registered experiments (``repro experiment --list``).  This
+module renders them as aligned monospace tables: the markdown format of
+:func:`~repro.analysis.render.render`, which the CLI and the benchmarks print.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, List, Sequence
 
-__all__ = ["format_table", "format_records"]
+__all__ = ["format_table"]
 
 
 def _render_cell(value: Any) -> str:
@@ -48,14 +48,3 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[Any]], title: s
     for row in rendered_rows:
         lines.append(render_line(row))
     return "\n".join(lines)
-
-
-def format_records(records: Iterable[Any], fields: Sequence[str], title: str = "") -> str:
-    """Render a list of objects (dataclasses or dicts) as a table of ``fields``."""
-    rows = []
-    for record in records:
-        if isinstance(record, dict):
-            rows.append([record.get(field, "") for field in fields])
-        else:
-            rows.append([getattr(record, field, "") for field in fields])
-    return format_table(fields, rows, title=title)

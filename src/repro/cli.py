@@ -652,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = subparsers.add_parser(
         "experiment",
-        help="regenerate experiment tables (EXPERIMENTS.md) from registered specs",
+        help="regenerate experiment tables from registered specs (--list names them)",
     )
     experiment.add_argument(
         "names",

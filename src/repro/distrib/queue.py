@@ -19,11 +19,14 @@ than when or by whom.
 
 The claim protocol needs nothing beyond POSIX file semantics:
 
-* a **fresh claim** is an ``O_CREAT | O_EXCL`` create of the claim file —
-  atomic, exactly one winner;
+* a **fresh claim** is a hard link of a fully written, claimant-private
+  temp file onto the claim path — atomic, exactly one winner (``link``
+  fails on an existing path just as an ``O_EXCL`` create does), and a
+  claimant killed mid-write leaves only its temp file, never an empty
+  claim that no one could parse or steal;
 * an **expired claim** (the lease of a killed worker) is *stolen* by
   unlinking it under the advisory steal lock and then racing the ordinary
-  ``O_EXCL`` create; the lock makes expiry-check-and-unlink atomic against
+  fresh claim; the lock makes expiry-check-and-unlink atomic against
   other stealers, while a concurrent fresh claimant can still slip in —
   either way exactly one process ends up owning the new claim file;
 * a **done marker** is written via temp-file + ``os.replace`` before the
@@ -310,14 +313,18 @@ class WorkQueue:
         if stolen_from is not None:
             claim["stolen_from"] = stolen_from
         payload = json.dumps(claim, sort_keys=True, separators=(",", ":"))
+        path = self.claim_path(uid)
+        tmp = path.with_name(f"{path.name}.{worker}.{os.getpid()}.tmp")
+        descriptor = os.open(tmp, os.O_CREAT | os.O_TRUNC | os.O_WRONLY, 0o644)
         try:
-            descriptor = os.open(
-                self.claim_path(uid), os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644
-            )
+            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                handle.write(payload + "\n")
+            os.link(tmp, path)
         except FileExistsError:
             return False
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         return True
 
     def try_claim(

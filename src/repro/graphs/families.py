@@ -41,8 +41,6 @@ __all__ = [
     "random_connected",
     "random_regular",
     "random_tree",
-    "named_family",
-    "FAMILY_BUILDERS",
 ]
 
 
@@ -318,18 +316,3 @@ GRAPH_FAMILIES.register(
     lambda n, seed=0: random_regular(n if (n * 3) % 2 == 0 else n + 1, 3, rng_seed=seed),
 )
 GRAPH_FAMILIES.register("random_tree", lambda n, seed=0: random_tree(n, rng_seed=seed))
-
-#: Backwards-compatible alias: the registry is dict-like, so historical code
-#: doing ``sorted(FAMILY_BUILDERS)`` or ``FAMILY_BUILDERS[name]`` keeps working.
-FAMILY_BUILDERS = GRAPH_FAMILIES
-
-
-def named_family(family: str, n: int, rng_seed: int = 0) -> PortLabeledGraph:
-    """Build a graph of ``family`` with about ``n`` nodes (CLI convenience)."""
-    try:
-        build = FAMILY_BUILDERS[family]
-    except KeyError:
-        raise GraphError(
-            f"unknown family {family!r}; available: {sorted(FAMILY_BUILDERS)}"
-        ) from None
-    return build(n, rng_seed)

@@ -176,11 +176,6 @@ class PortLabeledGraph:
         return len(self._adjacency)
 
     @property
-    def num_nodes(self) -> int:
-        """Alias of :attr:`size`."""
-        return self.size
-
-    @property
     def num_edges(self) -> int:
         """Number of undirected edges."""
         return len(self._edges)

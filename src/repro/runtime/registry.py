@@ -11,12 +11,9 @@ with the decorator API::
     def _round_robin(seed=0, **_ignored):
         return RoundRobinScheduler()
 
-This replaces the seed repository's triplication of ad-hoc name tables
-(``SCHEDULER_NAMES`` + ``make_scheduler`` in the experiment drivers,
-``FAMILY_BUILDERS`` in the graph module, per-entry-point dispatch in the
-CLI): names resolve strictly through the registries defined here, so a
-family or adversary registered once is immediately usable from specs, the
-CLI, the experiments, the benchmarks and the examples.  The experiment
+Names resolve strictly through the registries defined here, so a family
+or adversary registered once is immediately usable from specs, the CLI, the
+experiments, the benchmarks and the examples.  The experiment
 layer follows the same pattern with its own registry
 (:data:`repro.analysis.experiment_spec.EXPERIMENTS`).
 
@@ -45,11 +42,10 @@ __all__ = [
 class Registry:
     """An ordered, string-keyed registry of factory callables.
 
-    The registry is dict-like (``name in registry``, ``registry[name]``,
-    ``sorted(registry)``, ``len(registry)``) so existing code that iterated
-    the old ad-hoc tables keeps working.  ``registry[name]`` raises
-    ``KeyError`` (the mapping contract); :meth:`resolve` and :meth:`create`
-    raise :class:`~repro.exceptions.RegistryError` with the available names.
+    Membership, iteration and length work as on a set of names
+    (``name in registry``, ``sorted(registry)``, ``len(registry)``); lookups
+    go through :meth:`resolve` and :meth:`create`, which raise
+    :class:`~repro.exceptions.RegistryError` with the available names.
     """
 
     def __init__(self, kind: str) -> None:
@@ -100,12 +96,6 @@ class Registry:
         """All registered names, in registration order."""
         return tuple(self._entries)
 
-    # ------------------------------------------------------------------
-    # mapping protocol (compatibility with the old ad-hoc dict tables)
-    # ------------------------------------------------------------------
-    def __getitem__(self, name: str) -> Callable[..., Any]:
-        return self._entries[name]
-
     def __contains__(self, name: object) -> bool:
         return name in self._entries
 
@@ -114,12 +104,6 @@ class Registry:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def keys(self):
-        return self._entries.keys()
-
-    def items(self):
-        return self._entries.items()
 
     def __repr__(self) -> str:
         return f"Registry({self.kind!r}, {sorted(self._entries)})"

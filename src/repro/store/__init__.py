@@ -18,8 +18,8 @@ experiments cost nothing, and tables aggregate straight from disk.
 
 Backends: :class:`MemoryStore` (process-local dict) and :class:`FileStore`
 (JSONL shards + index under ``.repro-store/``, atomic appends, kill-safe).
-:class:`CachingRunner` wraps single-scenario ``run()`` the same way; it is
-loaded lazily because it pulls in the full algorithm stack.
+A single scenario goes through the same cache as a one-cell sweep:
+``run_sweep([spec], store=store)``.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ __all__ = [
     "DEFAULT_STORE_DIR",
     "open_store",
     "merge_stores",
-    # lazily loaded:
-    "CachingRunner",
 ]
 
 
@@ -46,14 +44,3 @@ def open_store(root=None, *, create: bool = True) -> FileStore:
     """Open (or create) the file store at ``root`` (default ``.repro-store``)."""
     return FileStore(root if root is not None else DEFAULT_STORE_DIR, create=create)
 
-
-def __getattr__(name: str):
-    if name == "CachingRunner":
-        from .caching import CachingRunner
-
-        return CachingRunner
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

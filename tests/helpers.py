@@ -4,16 +4,25 @@ Several tests need to execute a walk generator (a trajectory construction,
 Procedure ESST, an agent program) against a known graph without involving the
 asynchronous engine or an adversary.  :func:`drive_walk` is that driver: it
 feeds observations to the generator, records the walk, and returns what the
-generator returned.
+generator returned.  :func:`golden` reads the byte-exact golden tables
+under ``tests/golden/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.graphs.port_graph import PortLabeledGraph, edge_key
 from repro.sim.actions import Move, Observation, Stop
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def golden(name: str) -> str:
+    """The golden table ``tests/golden/<name>.txt``, without its final newline."""
+    return (GOLDEN / f"{name}.txt").read_text(encoding="utf-8").rstrip("\n")
 
 
 @dataclass

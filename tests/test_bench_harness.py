@@ -47,17 +47,6 @@ class TestRecordBench:
         assert results["history"][1]["benches"]["bench_a"]["seconds"] == 2.0
         assert results["latest"]["bench_a"]["seconds"] == 2.0
 
-    def test_legacy_flat_file_becomes_first_history_entry(self, results_file):
-        results_file.write_text(
-            json.dumps({"old_bench": {"seconds": 3.0, "cells": 6, "cells_per_sec": 2.0}})
-        )
-        _harness.record_bench("bench_a", 1.0, cells=2)
-        results = json.loads(results_file.read_text())
-        assert results["history"][0]["timestamp"] is None
-        assert results["history"][0]["benches"]["old_bench"]["seconds"] == 3.0
-        assert results["history"][1]["benches"]["bench_a"]["seconds"] == 1.0
-        assert set(results["latest"]) == {"old_bench", "bench_a"}
-
     def test_tolerates_a_corrupt_file(self, results_file):
         results_file.write_text("{not json", encoding="utf-8")
         _harness.record_bench("bench_a", 1.0, cells=2)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
@@ -112,6 +113,26 @@ class TestClaims:
         assert queue.read_claim(uid)["worker"] == "w1"
         queue.release_claim(uid, "w1")
         assert queue.read_claim(uid) is None
+
+    def test_claimant_killed_mid_write_leaves_the_unit_claimable(
+        self, tmp_path, monkeypatch
+    ):
+        class Killed(BaseException):
+            pass
+
+        def killed_while_writing(descriptor, *args, **kwargs):
+            os.close(descriptor)
+            raise Killed
+
+        queue = _queue(tmp_path)
+        uid = queue.units()[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fdopen", killed_while_writing)
+            with pytest.raises(Killed):
+                queue.try_claim(uid, "dead", ttl=60)
+        # Past the dead claimant's TTL a second worker gets the unit.
+        assert queue.try_claim(uid, "w2", ttl=60, now=time.time() + 120)
+        assert queue.read_claim(uid)["worker"] == "w2"
 
 
 class TestWorker:

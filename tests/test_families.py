@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import GraphError
+from repro.exceptions import GraphError, RegistryError
 from repro.graphs import families
+from repro.runtime.registry import GRAPH_FAMILIES
 
 
 class TestBasicFamilies:
@@ -129,11 +130,11 @@ class TestRandomFamilies:
 
 
 class TestRegistry:
-    @pytest.mark.parametrize("family", sorted(families.FAMILY_BUILDERS))
+    @pytest.mark.parametrize("family", sorted(GRAPH_FAMILIES))
     def test_every_registered_family_builds(self, family):
-        graph = families.named_family(family, 8, rng_seed=1)
+        graph = GRAPH_FAMILIES.create(family, 8, 1)
         assert graph.size >= 2
 
     def test_unknown_family(self):
-        with pytest.raises(GraphError):
-            families.named_family("moebius", 8)
+        with pytest.raises(RegistryError):
+            GRAPH_FAMILIES.create("moebius", 8)

@@ -40,7 +40,7 @@ class TestPublicAPI:
             ("repro.core", ["run_rendezvous", "run_baseline_rendezvous", "modified_label"]),
             ("repro.sim", ["AsyncEngine", "AgentSpec", "RoundRobinScheduler"]),
             ("repro.teams", ["run_sgl", "solve_leader_election", "SGLController"]),
-            ("repro.analysis", ["fit_power_law", "format_table", "experiments"]),
+            ("repro.analysis", ["fit_power_law", "format_table"]),
         ],
     )
     def test_documented_exports_exist(self, module, names):

@@ -54,9 +54,6 @@ class TestRegistry:
         registry.register("a", lambda: 1)
         assert sorted(registry) == ["a", "b"]
         assert len(registry) == 2
-        assert registry["a"]() == 1
-        with pytest.raises(KeyError):
-            registry["missing"]
 
 
 class TestGlobalRegistries:
@@ -95,19 +92,6 @@ class TestGlobalRegistries:
 
     def test_cost_models_registered(self):
         assert {"simulation", "paper", "default"} <= set(COST_MODELS)
-
-    def test_family_builders_alias_is_the_registry(self):
-        from repro.graphs.families import FAMILY_BUILDERS
-
-        assert FAMILY_BUILDERS is GRAPH_FAMILIES
-
-    def test_scheduler_aliases_are_gone_from_the_experiment_drivers(self):
-        # Schedulers resolve strictly through the runtime registry; the old
-        # SCHEDULER_NAMES / make_scheduler duplication no longer exists.
-        from repro.analysis import experiments
-
-        assert not hasattr(experiments, "SCHEDULER_NAMES")
-        assert not hasattr(experiments, "make_scheduler")
 
     def test_every_registered_scheduler_builds(self):
         for name in SCHEDULERS.names():

@@ -26,7 +26,7 @@ from repro.serve import ResultService, SweepJobs, job_id, make_server
 from repro.serve.app import _Handler
 from repro.store import FileStore, MemoryStore, merge_stores
 
-from .test_experiments import golden
+from .helpers import golden
 
 #: A tiny registered experiment so service tests do not pay for E1-E6.
 TINY = "TINY-SERVE"

@@ -16,7 +16,7 @@ from repro.runtime import ScenarioSpec, SweepSpec, spec_key
 from repro.runtime.executors import ProcessPoolExecutor, run_sweep
 from repro.runtime.records import RunRecord
 from repro.runtime.runner import run
-from repro.store import CachingRunner, FileStore, MemoryStore, open_store
+from repro.store import FileStore, MemoryStore, open_store
 
 #: A small, fast grid reused by most sweep tests (4 cells, trivial scenarios).
 GRID = SweepSpec(sizes=(4, 6), seeds=(0, 1), name="store-tests")
@@ -296,16 +296,6 @@ class TestRunSweepWithStore:
         resumed = run_sweep(GRID, store=pool_store)
         assert resumed.cache_hits == len(GRID)
         assert resumed.records == serial.records
-
-
-class TestCachingRunner:
-    def test_counts_hits_and_executions(self):
-        runner = CachingRunner(MemoryStore())
-        spec = ScenarioSpec(size=4)
-        first = runner.run(spec)
-        second = runner(spec)
-        assert first == second
-        assert (runner.hits, runner.executed) == (1, 1)
 
 
 class TestQueryLayer:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.analysis.tables import format_records, format_table
+from repro.analysis.tables import format_table
 
 
 class TestFormatTable:
@@ -29,17 +27,3 @@ class TestFormatTable:
         text = format_table(["x"], [["only", "extra"]])
         assert "extra" in text
 
-
-class TestFormatRecords:
-    def test_dataclass_records(self):
-        @dataclass
-        class Row:
-            name: str
-            cost: int
-
-        text = format_records([Row("a", 10), Row("b", 20)], ["name", "cost"])
-        assert "a" in text and "20" in text
-
-    def test_dict_records_and_missing_fields(self):
-        text = format_records([{"name": "a"}], ["name", "cost"])
-        assert "a" in text
