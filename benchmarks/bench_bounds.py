@@ -3,7 +3,8 @@
 Pure computation (no simulation): tabulates ``Π(n, |L|)`` and the exponential
 baseline guarantee over a grid of sizes and labels, classifies their growth,
 and reports where the crossover falls.  Also sweeps the exponent of the
-exploration polynomial ``P`` (the ablation called out in DESIGN.md).
+exploration polynomial ``P``: how the guarantee's growth depends on the
+degree of ``P``, the constant the UXS substitution tunes.
 
 The guarantee grid is the registered E3 :class:`ExperimentSpec` (the
 ``"bounds"`` problem kind, one cell per (n, L)); the ablation keeps driving

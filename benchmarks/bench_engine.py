@@ -2,11 +2,13 @@
 
 The whole-table sweeps (E1–E6) measure the stack end to end; this file
 ratchets the engine loop itself, so a regression in the hot path shows up in
-``BENCH_results.json`` even when the experiment drivers mask it.  Two
+``BENCH_results.json`` even when the experiment drivers mask it.  Three
 adversaries cover the two execution paths:
 
-* ``round_robin`` — complete traversals only; the engine runs its fused
-  round-robin loop where occupancy lives in a flat node array.
+* ``round_robin`` and ``random`` — complete traversals only; the engine runs
+  its fused complete-traversal loop, where occupancy lives in a flat node
+  array.  The two differ only in how the loop picks the mover (a cursor
+  versus one generator draw over the eligible agents).
 * ``avoider`` — partial advances chosen through ``max_safe_advance``; agents
   sit strictly inside edges, so every decision exercises the per-edge integer
   lattices of the neighbor index.
@@ -105,6 +107,11 @@ def _measure(benchmark, scheduler: str, sim_model) -> str:
 def test_engine_decisions_round_robin(benchmark, sim_model):
     line = _measure(benchmark, "round_robin", sim_model)
     emit("engine_decisions_round_robin", line)
+
+
+def test_engine_decisions_random(benchmark, sim_model):
+    line = _measure(benchmark, "random", sim_model)
+    emit("engine_decisions_random", line)
 
 
 def test_engine_decisions_avoider(benchmark, sim_model):

@@ -304,7 +304,7 @@ class CostModel:
         return (2 * self.P(n) + 1) ** label
 
     # ------------------------------------------------------------------
-    # Algorithm SGL budget (pluggable; see DESIGN.md substitution 3)
+    # Algorithm SGL budget (pluggable: subclasses may replace Π(E(n), |L|))
     # ------------------------------------------------------------------
     def rendezvous_budget(self, size_bound: int, label_length: int) -> int:
         """The number of RV-asynch-poly traversals an explorer performs in SGL.
@@ -325,7 +325,7 @@ class SimulationCostModel(CostModel):
     Uses a small pseudo-UXS length polynomial (default ``P(k) = 2k² + 8``)
     and a calibrated SGL budget.  The structure of every trajectory is exactly
     the paper's; only the constants of ``P`` differ, which is what makes
-    end-to-end simulation tractable (DESIGN.md §2).
+    end-to-end simulation tractable.
     """
 
     def __init__(
@@ -352,7 +352,9 @@ class SimulationCostModel(CostModel):
         phase index, which exceeds the true size ``n``), and ``ℓ`` is the
         binary length of the agent's own label.  The budget is intentionally
         generous for the graph sizes used in tests and benchmarks while being
-        executable; DESIGN.md §2 (substitution 3) discusses the trade-off.
+        executable.  The trade-off: Theorem 3.1 no longer guarantees that
+        Phase 2 lasts long enough, so every run checks that each agent output
+        exactly the true set of labels instead of relying on the theorem.
         """
         if size_bound < 1:
             raise ExplorationError("size bound must be >= 1")

@@ -9,8 +9,8 @@ start node ``v`` is written ``R(k, v)`` and is called *integral* when it
 indeed covers every edge.
 
 Reingold's explicit construction is galactic, so this module substitutes a
-deterministic pseudorandom sequence (documented in DESIGN.md §2): a fixed
-splitmix64 stream keyed by ``(seed, k)``.  Sequences of length ``Θ(k³)`` are
+deterministic pseudorandom sequence: a fixed splitmix64 stream keyed by
+``(seed, k)``.  Sequences of length ``Θ(k³)`` are
 universal with overwhelming probability, and :func:`is_integral` /
 :func:`first_covering_prefix` let tests and experiments verify coverage on the
 graphs actually used.
@@ -95,8 +95,9 @@ class PseudoRandomUXS(UXSProvider):
     length_coefficient, length_exponent, length_offset:
         The sequence for parameter ``k`` has length
         ``length_coefficient * k**length_exponent + length_offset`` — this is
-        the polynomial ``P`` of the paper, with tunable constants so the
-        experiments stay tractable (see DESIGN.md §2, substitution 1).
+        the polynomial ``P`` of the paper, with tunable constants in place of
+        those Reingold's construction fixes, so the experiments stay
+        tractable.
     seed:
         Global seed.  Different seeds give different (but individually fixed)
         sequence families.

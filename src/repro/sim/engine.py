@@ -53,9 +53,39 @@ from .position import ONE as _ONE
 from .position import ZERO as _ZERO
 from .position import Position
 from .results import RunResult, StopReason
-from .schedulers import Advance, Decision, RoundRobinScheduler, Scheduler, Wake
+from .schedulers import (
+    Advance,
+    Decision,
+    LazyScheduler,
+    RandomScheduler,
+    RoundRobinScheduler,
+    Scheduler,
+    Wake,
+)
 
-__all__ = ["AgentSpec", "AsyncEngine", "EngineView", "AgentStatus"]
+__all__ = ["AgentSpec", "AsyncEngine", "EngineView", "AgentStatus", "takes_fused_loop"]
+
+#: The adversaries whose every decision completes a traversal (absent a wake
+#: schedule): exactly the ones the fused loop can replay.
+_COMPLETE_TRAVERSAL_SCHEDULERS = (RoundRobinScheduler, RandomScheduler, LazyScheduler)
+
+
+def takes_fused_loop(scheduler: Scheduler, agent_names: Iterable[str]) -> bool:
+    """Whether an untraced run under ``scheduler`` takes the fused loop.
+
+    True for a plain round-robin (its order, if fixed, covers exactly the
+    agents), random or lazy adversary without a wake schedule: every decision
+    it makes is a complete traversal.  Subclasses, the meeting-avoiding
+    adversary, wake schedules and traced runs use the generic decision loop.
+    """
+    kind = type(scheduler)
+    if kind not in _COMPLETE_TRAVERSAL_SCHEDULERS or scheduler._wake_schedule:
+        return False
+    order = scheduler._order if kind is RoundRobinScheduler else None
+    if order is None:
+        return True
+    names = set(agent_names)
+    return len(order) == len(names) and set(order) == names
 
 
 class AgentStatus:
@@ -388,19 +418,8 @@ class AsyncEngine:
         """Run the simulation to completion and return the result."""
         if self._tracer is not None:
             return self._run_traced(self._tracer)
-        scheduler = self._scheduler
-        if (
-            type(scheduler) is RoundRobinScheduler
-            and not scheduler._wake_schedule
-            and (
-                scheduler._order is None
-                or (
-                    len(scheduler._order) == len(self._agents)
-                    and set(scheduler._order) == set(self._agents)
-                )
-            )
-        ):
-            return self._run_fast_round_robin(scheduler)
+        if takes_fused_loop(self._scheduler, self._agents):
+            return self._run_complete_traversals(self._scheduler)
         self._bootstrap()
         view = EngineView(self)
         while not self._done:
@@ -420,23 +439,49 @@ class AsyncEngine:
             self._apply(decision)
         return self._build_result()
 
-    def _run_fast_round_robin(self, scheduler: RoundRobinScheduler) -> RunResult:
-        # Specialised main loop for the common adversary: an untraced round
-        # robin whose cycle covers exactly the engine's agents and that has no
-        # wake schedule.  Under it every decision is a *complete* traversal,
-        # so no agent is ever strictly inside an edge: the lattice frames stay
-        # empty, the only possible coincidences are arrival meetings, and the
-        # index degenerates to its node buckets.  The loop below replays,
-        # inline, exactly the decision sequence the generic loop produces with
-        # the same scheduler — including the cursor bookkeeping on the
-        # scheduler object — which is what keeps every record byte-identical
-        # (the golden equivalence suite pins this against the fixtures).
+    def _run_complete_traversals(self, scheduler: Scheduler) -> RunResult:
+        # Specialised main loop for the adversaries whose every decision is a
+        # *complete* traversal (see :func:`takes_fused_loop`).  No agent is
+        # ever strictly inside an edge: the lattice frames stay empty, the
+        # only possible coincidences are arrival meetings, and the index
+        # degenerates to its node buckets.  The loop below replays, inline,
+        # exactly the decision sequence the generic loop produces with the
+        # same scheduler — the choice of the mover is the only part that
+        # differs per adversary, and it keeps the scheduler's own state
+        # (round-robin and lazy cursors, the lazy release flag, the random
+        # generator) exactly where ``choose`` would have left it.  That is
+        # what keeps every record byte-identical (the golden equivalence
+        # suite pins this against the fixtures).
         self._bootstrap()
         agents = self._agents
-        if scheduler._order is None:
-            scheduler._order = sorted(agents)
-        states = [agents[name] for name in scheduler._order]
+        kind = type(scheduler)
+        round_robin = kind is RoundRobinScheduler
+        lazy = kind is LazyScheduler
+        if round_robin:
+            if scheduler._order is None:
+                scheduler._order = sorted(agents)
+            order = scheduler._order
+        else:
+            # ``choose`` draws over the *sorted* eligible agents; with states
+            # in name order, the eligible indices come out sorted too.
+            order = sorted(agents)
+        states = [agents[name] for name in order]
         n = len(states)
+        cursor = 0 if kind is RandomScheduler else scheduler._cursor
+        released = lazy and scheduler._released
+        if lazy:
+            # A starved name that matches no agent starves nobody: ``choose``
+            # then picks from all eligible agents alike before and after the
+            # release.
+            starved_state = agents.get(scheduler._starved)
+            starved = -1 if starved_state is None else order.index(scheduler._starved)
+            release_after = scheduler._release_after
+        elif not round_robin:
+            rng_random = scheduler._rng.random
+            # Unweighted, ``rng.choices(elig, weights=[1.0] * m)`` bisects the
+            # integer cumulative weights at ``random() * m`` — the floor of
+            # it, so one ``random()`` indexes the sorted eligible list directly.
+            uniform = not scheduler._weights
         active = AgentStatus.ACTIVE
         adj = self._adj
         node_pos = self._node_pos
@@ -461,7 +506,6 @@ class AsyncEngine:
         meeting_cls = MeetingEvent
         meetings_append = self._meetings.append
         no_rendezvous = self._rendezvous is None
-        cursor = scheduler._cursor
         # The three monotone counters live in locals and are flushed to the
         # engine before any call that can observe them (and in the finally).
         decisions = self._decisions
@@ -478,23 +522,56 @@ class AsyncEngine:
                         f"({max_decisions}); it is probably making unbounded "
                         "zero-progress decisions"
                     )
-                # -- scheduler.decide(view), inlined for this adversary ------
-                # First probe outside the scan loop: under round-robin the
-                # next agent in order is almost always ready.
-                mover = cursor % n
-                state = states[mover]
-                if state.status == active and state.pending is not None:
-                    cursor += 1
+                # -- scheduler.decide(view), inlined per adversary -----------
+                if round_robin:
+                    # First probe outside the scan loop: under round-robin
+                    # the next agent in order is almost always ready.
+                    mover = cursor % n
+                    state = states[mover]
+                    if state.status == active and state.pending is not None:
+                        cursor += 1
+                    else:
+                        state = None
+                        for i in range(1, n):
+                            j = (cursor + i) % n
+                            st = states[j]
+                            if st.status == active and st.pending is not None:
+                                cursor += i + 1
+                                state = st
+                                mover = j
+                                break
                 else:
-                    state = None
-                    for i in range(1, n):
-                        j = (cursor + i) % n
-                        st = states[j]
-                        if st.status == active and st.pending is not None:
-                            cursor += i + 1
-                            state = st
-                            mover = j
-                            break
+                    eligible = [
+                        j
+                        for j in range(n)
+                        if states[j].status == active and states[j].pending is not None
+                    ]
+                    if not eligible:
+                        state = None
+                    elif lazy:
+                        if not released:
+                            others = [j for j in eligible if j != starved]
+                            others_cost = total_traversals - (
+                                0 if starved_state is None else starved_state.traversals
+                            )
+                            if not others or (
+                                release_after is not None
+                                and others_cost >= release_after
+                            ):
+                                released = True
+                        if released:
+                            mover = eligible[cursor % len(eligible)]
+                        else:
+                            mover = others[cursor % len(others)]
+                        cursor += 1
+                        state = states[mover]
+                    else:
+                        if uniform:
+                            mover = eligible[int(rng_random() * len(eligible))]
+                        else:
+                            names = [agent_names[j] for j in eligible]
+                            mover = eligible[names.index(scheduler._pick(names))]
+                        state = states[mover]
                 decisions += 1
                 if state is None:
                     self._decisions = decisions
@@ -649,6 +726,9 @@ class AsyncEngine:
                                     f"node of degree {degree}"
                                 )
                         else:
+                            # A Stop, a Move subclass or a protocol error:
+                            # the generic handler reads the agent's position.
+                            state.position = node_pos[to_node]
                             self._handle_action(state, action)
                 if check_output and not self._done:
                     if fast_output:
@@ -665,7 +745,10 @@ class AsyncEngine:
         finally:
             self._decisions = decisions
             self.total_traversals = total_traversals
-            scheduler._cursor = cursor
+            if kind is not RandomScheduler:
+                scheduler._cursor = cursor
+            if lazy:
+                scheduler._released = released
             # Re-sync the index with the node array so post-run queries see
             # exactly the state incremental maintenance would have left.
             node_occupants = index.node_occupants
@@ -693,6 +776,10 @@ class AsyncEngine:
         clock = tracer.clock
         run_started = clock()
         try:
+            if takes_fused_loop(self._scheduler, self._agents):
+                # The loop measured here is the generic one; record that the
+                # untraced twin would have taken the fused loop instead.
+                tracer.count("engine.fused_when_untraced")
             t0 = clock()
             self._bootstrap()
             tracer.add_span("engine.bootstrap", t0)

@@ -23,8 +23,9 @@ Schedulers provided
 * :class:`GreedyAvoidingScheduler` — a meeting-avoiding adversary with bounded
   starvation ("patience"): it parks agents just short of any coincidence and
   completes a traversal that forces a meeting only when the patience of some
-  agent is exhausted.  With unbounded patience it approximates the paper's
-  worst case (see DESIGN.md §2, substitution 2).
+  agent is exhausted.  It stands in for the paper's omniscient worst-case
+  adversary, which a simulation cannot compute; with unbounded patience it
+  approximates that worst case.
 
 All schedulers honour an optional ``wake_schedule`` mapping agent names to the
 total-traversal count at which the adversary wakes them.
@@ -228,11 +229,14 @@ class RandomScheduler(Scheduler):
         eligible = self._sorted_eligible(view)
         if not eligible:
             return None
+        return complete(self._pick(eligible))
+
+    def _pick(self, eligible: List[str]) -> str:
+        """Draw one of the sorted ``eligible`` names (one ``random()`` call)."""
         weights = [max(self._weights.get(name, 1.0), 0.0) for name in eligible]
         if sum(weights) <= 0:
             weights = [1.0] * len(eligible)
-        name = self._rng.choices(eligible, weights=weights, k=1)[0]
-        return complete(name)
+        return self._rng.choices(eligible, weights=weights, k=1)[0]
 
 
 class LazyScheduler(Scheduler):

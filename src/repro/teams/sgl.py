@@ -24,7 +24,7 @@ The algorithm, as implemented by :class:`SGLController`:
 * a **ghost** stops at the end of its current edge and outputs as soon as a
   meeting tells it that its bag is complete.
 
-Deviations from the paper (all documented in DESIGN.md §2): the Phase-2
+Deviations from the paper, each made so that SGL runs end to end: the Phase-2
 budget ``Π(E(n), |L|)`` is replaced by the pluggable, calibrated budget of the
 cost model, the size bound uses the ESST phase index rather than the ESST
 cost, and agents react to a meeting at the next node they reach (at most one

@@ -142,6 +142,31 @@ class TestObservabilityCli:
         assert "% of run" in out and "engine.run" in out
         assert "engine coverage:" in out and "counters:" in out
 
+    @pytest.mark.parametrize(
+        "scheduler, untraced",
+        [("random", "takes the fused loop"), ("avoider", "takes the generic loop too")],
+    )
+    def test_run_profile_names_the_loop_it_measured(
+        self, tmp_path, capsys, scheduler, untraced
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_text(
+            json.dumps(
+                {"problem": "rendezvous", "family": "ring", "size": 4, "seed": 0,
+                 "scheduler": scheduler}
+            ),
+            encoding="utf-8",
+        )
+        assert main(["run", "--spec", str(path), "--profile"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        note = [line for line in lines if line.startswith("engine loop measured:")]
+        assert note == [
+            f"engine loop measured: generic (traced); the untraced run {untraced}"
+        ]
+        # The note heads the footer under the span table.
+        at = lines.index(note[0])
+        assert lines[at - 1] == "" and lines[at + 1].startswith("engine coverage:")
+
     def test_run_trace_attaches_the_payload_to_the_json(self, spec_file, capsys):
         assert main(["run", "--spec", spec_file, "--trace", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)

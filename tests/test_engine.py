@@ -11,6 +11,7 @@ import pytest
 
 from repro.exceptions import CostLimitExceeded, ProtocolError, SimulationError
 from repro.graphs import families
+from repro.obs.trace import Tracer, use_tracer
 from repro.sim import (
     AgentSpec,
     AsyncEngine,
@@ -20,7 +21,13 @@ from repro.sim import (
     StopReason,
 )
 from repro.sim.actions import Move, Stop
-from repro.sim.schedulers import Advance, RandomScheduler, Scheduler, Wake
+from repro.sim.schedulers import (
+    Advance,
+    GreedyAvoidingScheduler,
+    RandomScheduler,
+    Scheduler,
+    Wake,
+)
 
 
 def scripted(name: str, ports: Sequence[int], label: Optional[int] = None) -> FunctionController:
@@ -59,6 +66,31 @@ class TestBasicExecution:
         assert result.total_traversals == 3
         assert result.traversals_by_agent == {"w": 3}
         assert not result.met
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["fused", "generic"])
+    def test_move_subclass_moves_from_the_node_reached(self, traced):
+        # Both loops hand a Move subclass to the generic action handler,
+        # which must see the node the traversal just reached.
+        class Hop(Move):
+            pass
+
+        def factory(obs):
+            def program(obs):
+                for port in (0, 1, 1, 1):
+                    obs = yield Hop(port)
+
+            return program(obs)
+
+        with use_tracer(Tracer() if traced else None):
+            engine = AsyncEngine(
+                families.path(5),
+                [AgentSpec(FunctionController("a", factory, label=1), 0)],
+                RoundRobinScheduler(),
+            )
+        result = engine.run()
+        assert result.reason == StopReason.ALL_STOPPED
+        assert result.total_traversals == 4
+        assert engine.view.agent_position("a").node == 4
 
     def test_two_agents_round_robin_costs_add_up(self, ring6):
         a = scripted("a", [0, 0])
@@ -372,7 +404,9 @@ class TestEngineView:
         assert not view.is_dormant("a")
 
     @pytest.mark.parametrize(
-        "scheduler", [RoundRobinScheduler, RandomScheduler], ids=["fused", "generic"]
+        "scheduler",
+        [RoundRobinScheduler, RandomScheduler, GreedyAvoidingScheduler],
+        ids=["fused", "fused-random", "generic"],
     )
     def test_finished_engine_is_freed_without_the_cycle_collector(
         self, ring6, scheduler

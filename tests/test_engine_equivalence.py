@@ -6,17 +6,20 @@ across every problem kind and every scheduler.  The suite replays each
 scenario on the current engine and compares canonical JSON:
 
 * untraced — the full record, byte for byte.  This exercises the fused
-  round-robin loop (the untraced round-robin fast path).
+  complete-traversal loop (round-robin, random and lazy adversaries).
 * traced — the record minus the trace payload (byte for byte) plus the
   deterministic trace projection (events, invariant counters, stable span
-  call counts).  The traced twin never takes the fast path, so this pins the
-  generic decision loop against the same fixtures.
+  call counts).  The traced twin never takes the fused loop, so this pins
+  the generic decision loop against the same fixtures.
 * pool — a subset of scenarios executed through the process-pool executor:
   records computed in worker processes are the same bytes again.
 
 A final randomized cross-check compares the fused loop against the generic
 loop directly (untraced vs traced-stripped) on specs the fixtures do not
-contain, so equivalence does not silently narrow to the golden sample.
+contain, under every adversary the fused loop replays, so equivalence does
+not silently narrow to the golden sample.  Direct ``AsyncEngine`` cases pin
+what specs cannot express: weighted random adversaries and the scheduler
+state (generator, cursors) each loop leaves behind.
 """
 
 from __future__ import annotations
@@ -26,9 +29,15 @@ import random
 
 import pytest
 
+from repro.core.rendezvous import RendezvousController
+from repro.graphs import families
+from repro.obs.trace import Tracer, use_tracer
 from repro.runtime import ProcessPoolExecutor, ScenarioSpec
 from repro.runtime.executors import run_sweep
 from repro.runtime.runner import run
+from repro.sim import AgentSpec, AsyncEngine
+from repro.sim.engine import takes_fused_loop
+from repro.sim.schedulers import LazyScheduler, RandomScheduler
 
 from tests.golden.gen_engine_records import (
     FIXTURE_PATH,
@@ -87,10 +96,17 @@ def test_pool_records_are_byte_identical():
         assert canonical(record.to_dict()) == canonical(FIXTURES[name]["untraced"])
 
 
+def _assert_fused_matches_generic(cases):
+    for spec in cases:
+        untraced = _strip_extra(run(spec).to_dict())
+        stripped, _projection = split_traced(run(spec, trace=True).to_dict())
+        assert canonical(untraced) == canonical(stripped), spec.name
+
+
 def test_randomized_specs_fused_loop_matches_generic_loop():
     # Fresh specs outside the golden sample: the untraced run takes the
-    # fused round-robin loop, the traced run takes the generic loop; their
-    # records (minus the trace payload) must agree exactly.
+    # fused loop, the traced run takes the generic loop; their records
+    # (minus the trace payload) must agree exactly.
     rng = random.Random(20260808)
     cases = []
     for _ in range(4):
@@ -112,7 +128,106 @@ def test_randomized_specs_fused_loop_matches_generic_loop():
                 seed=rng.randint(0, 99),
             )
         )
-    for spec in cases:
-        untraced = _strip_extra(run(spec).to_dict())
-        stripped, _projection = split_traced(run(spec, trace=True).to_dict())
-        assert canonical(untraced) == canonical(stripped), spec.name
+    _assert_fused_matches_generic(cases)
+
+
+#: Per adversary, the second team cell's extra spec fields.  Team members
+#: are named ``sgl-<label>`` with labels 3, 5, 7, so the lazy adversaries'
+#: default ``starved="agent-2"`` starves nobody on teams; the k=3 cells
+#: starve a real member instead.  The random k=3 cell starts a member dormant
+#: (woken by a visit, through the loop's full meeting path).
+_TEAM_EXTRAS = {
+    "random": {"dormant": (1,)},
+    "lazy": {"scheduler_params": {"starved": "sgl-5", "release_after": 300}},
+    "delay_until_stop": {"scheduler_params": {"starved": "sgl-5"}},
+}
+
+
+@pytest.mark.parametrize("scheduler", sorted(_TEAM_EXTRAS))
+def test_randomized_specs_fused_loop_matches_generic_loop_under(scheduler):
+    rng = random.Random(f"fused-vs-generic:{scheduler}")
+    cases = []
+    for _ in range(3):
+        cases.append(
+            ScenarioSpec(
+                problem="rendezvous",
+                family=rng.choice(["ring", "path", "random_tree", "erdos_renyi"]),
+                size=rng.randint(5, 9),
+                seed=rng.randint(0, 99),
+                scheduler=scheduler,
+            )
+        )
+    for team_size, extra in ((2, {}), (3, _TEAM_EXTRAS[scheduler])):
+        cases.append(
+            ScenarioSpec(
+                problem="teams",
+                family=rng.choice(["ring", "path"]),
+                size=3,
+                team_size=team_size,
+                seed=rng.randint(0, 99),
+                scheduler=scheduler,
+                **extra,
+            )
+        )
+    _assert_fused_matches_generic(cases)
+
+
+class TestDirectEngine:
+    """Both loops on one hand-built engine, compared result for result."""
+
+    @staticmethod
+    def _both_loops(make_scheduler, sim_model, budget=3000):
+        graph = families.ring(8)
+        outcomes = []
+        for tracer in (None, Tracer()):
+            scheduler = make_scheduler()
+            agents = [
+                AgentSpec(RendezvousController(name, label, sim_model), start)
+                for name, label, start in (("a", 6, 0), ("b", 11, 3), ("c", 9, 5))
+            ]
+            # The engine captures the ambient tracer when it is built: with
+            # none it runs the fused loop, with one the generic loop.
+            with use_tracer(tracer):
+                engine = AsyncEngine(
+                    graph,
+                    agents,
+                    scheduler,
+                    max_traversals=budget,
+                    on_cost_limit="return",
+                )
+            if tracer is None:
+                assert takes_fused_loop(scheduler, ["a", "b", "c"])
+            outcomes.append((engine.run(), scheduler))
+        (fused, fused_scheduler), (generic, generic_scheduler) = outcomes
+        assert fused.meetings, "the comparison should cover meetings"
+        assert fused == generic
+        return fused_scheduler, generic_scheduler
+
+    def test_weighted_random_adversary(self, sim_model):
+        self._both_loops(
+            lambda: RandomScheduler(seed=3, weights={"a": 4.0, "c": 0.25, "x": 9.0}),
+            sim_model,
+        )
+
+    def test_all_zero_weights_fall_back_to_uniform(self, sim_model):
+        self._both_loops(
+            lambda: RandomScheduler(seed=5, weights={"a": 0.0, "b": 0.0, "c": -1.0}),
+            sim_model,
+        )
+
+    @pytest.mark.parametrize("weights", [None, {"b": 2.0}], ids=["uniform", "weighted"])
+    def test_random_generator_state_matches_after_both_loops(self, sim_model, weights):
+        fused, generic = self._both_loops(
+            lambda: RandomScheduler(seed=11, weights=weights), sim_model
+        )
+        assert fused._rng.getstate() == generic._rng.getstate()
+
+    @pytest.mark.parametrize("release_after", [None, 200], ids=["delay_until_stop", "lazy"])
+    def test_lazy_cursor_and_release_match_after_both_loops(
+        self, sim_model, release_after
+    ):
+        fused, generic = self._both_loops(
+            lambda: LazyScheduler("b", release_after=release_after), sim_model
+        )
+        assert fused._cursor == generic._cursor
+        assert fused.released == generic.released == (release_after is not None)
