@@ -7,14 +7,11 @@ collection — so on a grid this small it is *expected* to be slower; the
 benchmark exists to track that overhead across PRs (it is the constant the
 fleet must amortise) rather than to show a speed-up.
 
-``test_journal_overhead`` times the same queue run with the event journal
-on and off and records the overhead fraction — the observability tax on
-fleet throughput, budgeted at <= 5% of cells/sec.
+The event journal is always on, so both queue numbers include its cost;
+perfbench's ``queue`` workload reports it separately (``obs.journal.*``).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.runtime.executors import make_executor, run_sweep
 from repro.runtime.spec import SweepSpec
@@ -36,41 +33,3 @@ def test_queue_executor_two_workers(benchmark, tmp_path):
     result = run_once(benchmark, run_sweep, SWEEP, executor=executor)
     assert len(result) == len(SWEEP)
     assert result.records == run_sweep(SWEEP).records
-
-
-def test_journal_overhead(benchmark, tmp_path):
-    """Queue run with the journal on vs off; overhead fraction recorded.
-
-    Both configurations run inside the single measured round (so the pair
-    shares one machine state) and the journalled run's wall time is what the
-    benchmark reports — directly comparable to ``test_queue_executor_two_workers``.
-    """
-
-    def one(journal: bool, label: str) -> float:
-        executor = make_executor(
-            2, kind="queue", queue_dir=tmp_path / label, unit_size=3,
-            journal=journal,
-        )
-        started = time.perf_counter()
-        result = run_sweep(SWEEP, executor=executor)
-        seconds = time.perf_counter() - started
-        assert len(result) == len(SWEEP)
-        return seconds
-
-    timing = {}
-
-    def pair() -> None:
-        timing["off"] = one(False, "dark")
-        timing["on"] = one(True, "journalled")
-
-    benchmark.pedantic(pair, rounds=1, iterations=1)
-    overhead = (timing["on"] - timing["off"]) / timing["off"]
-    record_bench(
-        benchmark.name,
-        timing["on"],
-        cells=len(SWEEP),
-        extra={
-            "seconds_journal_off": round(timing["off"], 6),
-            "journal_overhead_fraction": round(overhead, 4),
-        },
-    )

@@ -480,12 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between heartbeats (journal event + mid-unit lease "
         "renewal; default: lease-ttl/3 capped at 15)",
     )
-    worker.add_argument(
-        "--no-journal",
-        action="store_true",
-        help="do not emit fleet events into QUEUE/journal (heartbeat-driven "
-        "lease renewal still happens)",
-    )
 
     queue_cmd = subparsers.add_parser(
         "queue", help="dispatch and inspect a distributed work queue"
@@ -1127,7 +1121,6 @@ def _run_worker(args: argparse.Namespace) -> int:
         max_units=args.max_units,
         progress=unit_progress,
         heartbeat_interval=args.heartbeat,
-        journal=not args.no_journal,
     )
     totals = worker.run()
     print(

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Any, Dict, Iterable, List, Optional, Union
 
-from ..exceptions import ReproError
 from ..runtime.spec import ScenarioSpec, SweepSpec
 from .queue import WorkQueue
 
@@ -31,13 +31,11 @@ class Dispatcher:
         queue: Union[WorkQueue, str],
         *,
         unit_size: int = DEFAULT_UNIT_SIZE,
-        journal: bool = True,
     ) -> None:
         if unit_size < 1:
             raise ValueError(f"unit_size must be positive, got {unit_size}")
         self.queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue, create=True)
         self.unit_size = unit_size
-        self.journal = journal
 
     def dispatch(
         self,
@@ -84,17 +82,14 @@ class Dispatcher:
             "existing_units": existing_units,
             "unit_ids": unit_ids,
         }
-        if self.journal:
-            try:
-                # Respect an already attached writer (e.g. the serve tier's);
-                # a bare dispatch attaches under its own pid-scoped name.
-                journal = self.queue.attached_journal or self.queue.attach_journal(
-                    f"dispatch-{os.getpid()}"
-                )
-                journal.append(
-                    "sweep.dispatch",
-                    **{k: v for k, v in report.items() if k != "unit_ids"},
-                )
-            except (ReproError, OSError):
-                pass  # journalling never blocks a dispatch
+        # Respect an already attached writer (e.g. the serve tier's); a bare
+        # dispatch attaches under its own pid-scoped name.  Journalling never
+        # blocks a dispatch.
+        with contextlib.suppress(OSError):
+            journal = self.queue.attached_journal or self.queue.attach_journal(
+                f"dispatch-{os.getpid()}"
+            )
+            journal.append(
+                "sweep.dispatch", **{k: v for k, v in report.items() if k != "unit_ids"}
+            )
         return report

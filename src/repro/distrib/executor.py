@@ -72,11 +72,9 @@ class QueueExecutor(Executor):
         Upper bound in seconds for the whole drain once every local worker
         has exited; ``None`` waits forever (e.g. when external workers are
         expected to finish the queue).
-    journal:
-        Whether the dispatch and the spawned workers emit fleet events into
-        ``<queue>/journal``.  On by default; ``journal=False`` is the
-        measurement configuration (``benchmarks/bench_distrib_executors.py``
-        times both to bound the journal's overhead).
+
+    The dispatch and the spawned workers journal their fleet events into
+    ``<queue>/journal``.
     """
 
     supports_trace = False
@@ -90,7 +88,6 @@ class QueueExecutor(Executor):
         lease_ttl: float = DEFAULT_LEASE_TTL,
         poll: float = 0.1,
         spawn_timeout: Optional[float] = 600.0,
-        journal: bool = True,
     ) -> None:
         if workers < 1:
             raise ReproError(f"queue executor needs at least one worker, got {workers}")
@@ -100,7 +97,6 @@ class QueueExecutor(Executor):
         self.lease_ttl = lease_ttl
         self.poll = poll
         self.spawn_timeout = spawn_timeout
-        self.journal = journal
 
     # ------------------------------------------------------------------
     # worker fleet
@@ -126,8 +122,6 @@ class QueueExecutor(Executor):
                 str(max(self.poll, 0.05)),
                 "--quiet",
             ]
-            if not self.journal:
-                argv.append("--no-journal")
             with log_path.open("w", encoding="utf-8") as log:
                 procs.append(
                     subprocess.Popen(
@@ -198,9 +192,7 @@ class QueueExecutor(Executor):
         if ephemeral:
             queue_root = Path(tempfile.mkdtemp(prefix="repro-queue-"))
         queue = WorkQueue(queue_root, create=True)
-        report = Dispatcher(
-            queue, unit_size=self.unit_size, journal=self.journal
-        ).dispatch(specs)
+        report = Dispatcher(queue, unit_size=self.unit_size).dispatch(specs)
         # Watch exactly this sweep's units: a reused queue directory may hold
         # other sweeps' units (finished or not), which are none of our business.
         unit_ids = report["unit_ids"]

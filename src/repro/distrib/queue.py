@@ -5,11 +5,11 @@ Layout of a queue directory::
     queue/
     ├── queue.meta.json        # format + spec-key versions
     ├── units/<id>.json        # one work unit: its cells and their keys
-    ├── claims/<id>.json       # lease: {"worker", "created", "expires"}
+    ├── claims/<id>.json       # live lease: {"worker", "created", "expires"}
     ├── done/<id>.json         # completion: keys + executed/salvaged counts
     ├── results/<worker>/      # one FileStore per worker (its "shard")
     ├── logs/<worker>.log      # stdout/stderr of executor-spawned workers
-    ├── journal/               # durable event journal (repro.obs.events)
+    ├── journal/               # event journal: the only record of history
     └── .steal.lock            # advisory flock serialising lease steals
 
 Unit ids are **content keys**: the sha256 of the ordered cell-key list.  Two
@@ -32,6 +32,10 @@ The claim protocol needs nothing beyond POSIX file semantics:
 * a **done marker** is written via temp-file + ``os.replace`` before the
   claim is released, so "done" is never observed half-written and a unit
   whose worker died after finishing is salvaged, not re-run.
+
+Claim and done files hold only live state.  History — who claimed a unit,
+which leases expired and were stolen from whom — lives in the event journal
+alone, and :meth:`WorkQueue.status` reads steal counts from there.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
 from ..exceptions import QueueError
-from ..obs.events import JOURNAL_DIR_NAME, EventJournal
+from ..obs.events import JOURNAL_DIR_NAME, EventJournal, sweep_timeline
 from ..obs.metrics import get_registry
 from ..runtime.spec import SPEC_KEY_VERSION, ScenarioSpec, canonical_json
 
@@ -111,6 +115,8 @@ class WorkQueue:
     def __init__(self, root, *, create: bool = False) -> None:
         self.root = Path(root)
         self._journal: Optional[EventJournal] = None
+        self._reader = EventJournal(self.journal_root)
+        self._steals: Optional[Tuple[str, Dict[str, int]]] = None
         meta = _read_json(self._meta_path)
         if meta is not None:
             if meta.get("format_version") != QUEUE_FORMAT_VERSION:
@@ -183,8 +189,9 @@ class WorkQueue:
         return self.root / JOURNAL_DIR_NAME
 
     def journal(self) -> EventJournal:
-        """A read-only view of this queue's event journal."""
-        return EventJournal(self.journal_root)
+        """A read-only view of this queue's event journal, one per handle so
+        its read memo serves every reader (``status()``, then a fleet view)."""
+        return self._reader
 
     @property
     def attached_journal(self) -> Optional[EventJournal]:
@@ -196,8 +203,8 @@ class WorkQueue:
 
         Each process attaches under its own ``writer`` name (worker id,
         ``dispatch-<pid>``, ``serve-<pid>``) so concurrent emitters never
-        share a shard.  Unattached queues emit nothing — journalling is
-        opt-in per handle, exactly like metrics.
+        share a shard.  A handle that emits before any writer was attached
+        attaches as ``queue-<pid>``: every queue operation is journalled.
         """
         if self._journal is None or self._journal.writer != writer:
             if self._journal is not None:
@@ -207,10 +214,23 @@ class WorkQueue:
 
     def _emit(self, type: str, **fields: Any) -> None:
         """Best-effort event append: the journal never wedges the fleet."""
-        if self._journal is None:
-            return
         with contextlib.suppress(OSError):
-            self._journal.append(type, **fields)
+            journal = self._journal or self.attach_journal(f"queue-{os.getpid()}")
+            journal.append(type, **fields)
+
+    def _steal_counts(self) -> Dict[str, int]:
+        """Lease steals per unit, from the journal's claim events; memoised
+        on its generation, so a scrape of many jobs counts them once."""
+        journal = self.journal()
+        generation = journal.generation()
+        if self._steals is None or self._steals[0] != generation:
+            timeline = sweep_timeline(journal.events(type="unit.claim"))
+            counts = {
+                uid: sum(1 for claim in entry["claims"] if claim.get("kind") == "steal")
+                for uid, entry in timeline.items()
+            }
+            self._steals = (generation, counts)
+        return self._steals[1]
 
     # ------------------------------------------------------------------
     # units
@@ -265,16 +285,22 @@ class WorkQueue:
         return _read_json(self.done_path(uid))
 
     def write_done(self, uid: str, payload: Dict[str, Any]) -> None:
-        _atomic_write_json(self.done_path(uid), payload)
+        """Journal the unit's terminal event, then land its done marker.
+
+        In this order a kill between the two leaves the unit claimed, not
+        done-but-unjournalled: the next claimant steals it, salvages the
+        cells and journals a second, final terminal event.
+        """
         self._emit(
             "unit.cancelled" if payload.get("cancelled") else "unit.done",
             unit=uid,
             worker=payload.get("worker"),
             **{
                 counter: int(payload.get(counter, 0))
-                for counter in ("total", "executed", "salvaged", "cached", "steals")
+                for counter in ("total", "executed", "salvaged", "cached")
             },
         )
+        _atomic_write_json(self.done_path(uid), payload)
 
     # ------------------------------------------------------------------
     # claims / leases
@@ -294,24 +320,8 @@ class WorkQueue:
     def read_claim(self, uid: str) -> Optional[Dict[str, Any]]:
         return _read_json(self.claim_path(uid))
 
-    def _create_claim(
-        self,
-        uid: str,
-        worker: str,
-        ttl: float,
-        now: float,
-        steals: int = 0,
-        stolen_from: Optional[str] = None,
-    ) -> bool:
-        claim: Dict[str, Any] = {
-            "unit": uid,
-            "worker": worker,
-            "created": now,
-            "expires": now + ttl,
-            "steals": steals,
-        }
-        if stolen_from is not None:
-            claim["stolen_from"] = stolen_from
+    def _create_claim(self, uid: str, worker: str, ttl: float, now: float) -> bool:
+        claim = {"unit": uid, "worker": worker, "created": now, "expires": now + ttl}
         payload = json.dumps(claim, sort_keys=True, separators=(",", ":"))
         path = self.claim_path(uid)
         tmp = path.with_name(f"{path.name}.{worker}.{os.getpid()}.tmp")
@@ -338,11 +348,10 @@ class WorkQueue:
         units without waiting out its previous life's lease; worker ids must
         therefore name at most one live process).
 
-        Claim files carry steal provenance: ``steals`` counts how many times
-        this unit's lease has been taken from an expired holder, and
-        ``stolen_from`` names the most recent victim.  The winner of a steal
-        carries both forward, and workers copy ``steals`` into their done
-        markers, so :meth:`status` can total steals from the files alone.
+        Every successful claim is journalled as ``unit.claim`` with its
+        ``kind`` (fresh / reclaim / steal); a steal also names its victim
+        (``stolen_from``, plus a ``lease.expire`` event).  That journal is
+        the only record of steal history.
         """
         now = time.time() if now is None else now
         claims_total = get_registry().counter(
@@ -363,18 +372,7 @@ class WorkQueue:
         if claim.get("worker") == worker:
             _atomic_write_json(
                 self.claim_path(uid),
-                {
-                    "unit": uid,
-                    "worker": worker,
-                    "created": now,
-                    "expires": now + ttl,
-                    "steals": int(claim.get("steals", 0)),
-                    **(
-                        {"stolen_from": claim["stolen_from"]}
-                        if claim.get("stolen_from")
-                        else {}
-                    ),
-                },
+                {"unit": uid, "worker": worker, "created": now, "expires": now + ttl},
             )
             claims_total.inc(kind="reclaim")
             self._emit("unit.claim", unit=uid, worker=worker, kind="reclaim", ts=now)
@@ -382,7 +380,6 @@ class WorkQueue:
         if float(claim.get("expires", 0.0)) > now:
             return False
         victim: Optional[str] = None
-        prior_steals = 0
         with self._steal_lock():
             claim = self.read_claim(uid)
             if claim is not None:
@@ -392,12 +389,9 @@ class WorkQueue:
                 ):
                     return False  # renewed while we waited for the lock
                 victim = claim.get("worker")
-                prior_steals = int(claim.get("steals", 0))
                 with contextlib.suppress(FileNotFoundError):
                     os.unlink(self.claim_path(uid))
-        if self._create_claim(
-            uid, worker, ttl, now, steals=prior_steals + 1, stolen_from=victim
-        ):
+        if self._create_claim(uid, worker, ttl, now):
             registry = get_registry()
             claims_total.inc(kind="steal")
             registry.counter(
@@ -422,11 +416,10 @@ class WorkQueue:
         """Extend ``worker``'s live lease on ``uid``; the heartbeat's twin.
 
         Only the current holder renews — anyone else (including the holder
-        after its lease was stolen) gets ``False`` and must re-claim.  The
-        rewrite preserves the steal provenance, so renewal never launders a
-        stolen unit's history.  This is what lets a unit longer than the
-        lease TTL finish instead of being stolen while alive (ROADMAP
-        item 4's long-unit half): the worker renews on every heartbeat.
+        after its lease was stolen) gets ``False`` and must re-claim.  This
+        is what lets a unit longer than the lease TTL finish instead of
+        being stolen while alive (ROADMAP item 4's long-unit half): the
+        worker renews on every heartbeat.
         """
         now = time.time() if now is None else now
         claim = self.read_claim(uid)
@@ -439,12 +432,6 @@ class WorkQueue:
                 "worker": worker,
                 "created": float(claim.get("created", now)),
                 "expires": now + ttl,
-                "steals": int(claim.get("steals", 0)),
-                **(
-                    {"stolen_from": claim["stolen_from"]}
-                    if claim.get("stolen_from")
-                    else {}
-                ),
             },
         )
         get_registry().counter(
@@ -487,7 +474,6 @@ class WorkQueue:
                 return "already_cancelled" if done.get("cancelled") else "already_done"
             data = _read_json(self.unit_path(uid)) or {}
             keys = list(data.get("keys", ()))
-            claim = self.read_claim(uid) or {}
             self.write_done(
                 uid,
                 {
@@ -499,7 +485,6 @@ class WorkQueue:
                     "cached": 0,
                     "salvaged": 0,
                     "executed": 0,
-                    "steals": int(claim.get("steals", 0)),
                 },
             )
             return "cancelled"
@@ -517,12 +502,16 @@ class WorkQueue:
         Each entry reports the unit's id, its cell count and its ``state``
         (``pending`` / ``claimed`` / ``done`` / ``cancelled``), plus the
         lease holder and remaining lease seconds while claimed and the done
-        marker's execution counters once finished.  This is the live-progress
-        introspection behind ``GET /sweeps/<id>/progress``.
+        marker's execution counters once finished.  Claimed and finished
+        units also report their journalled ``steals`` when there were any.
+        This is the live-progress introspection behind
+        ``GET /sweeps/<id>/progress``.
         """
         now = time.time() if now is None else now
+        uids = self.units() if uids is None else uids
+        steals = self._steal_counts()
         states: List[Dict[str, Any]] = []
-        for uid in self.units() if uids is None else uids:
+        for uid in uids:
             data = _read_json(self.unit_path(uid))
             entry: Dict[str, Any] = {
                 "unit": uid,
@@ -534,8 +523,8 @@ class WorkQueue:
                 entry["worker"] = done.get("worker")
                 for counter in ("executed", "salvaged", "cached"):
                     entry[counter] = int(done.get(counter, 0))
-                if int(done.get("steals", 0)):
-                    entry["steals"] = int(done["steals"])
+                if steals.get(uid):
+                    entry["steals"] = steals[uid]
             else:
                 claim = self.read_claim(uid)
                 expires = float(claim.get("expires", 0.0)) if claim else 0.0
@@ -543,8 +532,8 @@ class WorkQueue:
                     entry["state"] = "claimed"
                     entry["worker"] = claim.get("worker")
                     entry["lease_remaining"] = round(expires - now, 3)
-                    if int(claim.get("steals", 0)):
-                        entry["steals"] = int(claim["steals"])
+                    if steals.get(uid):
+                        entry["steals"] = steals[uid]
                 else:
                     entry["state"] = "pending"
                     if claim is not None:
@@ -559,10 +548,10 @@ class WorkQueue:
         drain it equals the number of cells that were actually computed, so
         ``executed == cells`` certifies a duplicate-free distributed run.
 
-        ``steals`` totals the lease-steal provenance salvaged from the claim
-        and done files (see :meth:`try_claim`), and ``expired`` counts units
-        whose claim file has outlived its lease without being stolen yet —
-        together the post-hoc evidence of worker deaths during the run.
+        ``steals`` counts the journal's steal claims (see :meth:`try_claim`),
+        and ``expired`` counts units whose claim file has outlived its lease
+        without being stolen yet — together the post-hoc evidence of worker
+        deaths during the run.
         """
         now = time.time() if now is None else now
         uids = self.units()
@@ -571,14 +560,12 @@ class WorkQueue:
         executed = salvaged = cached = 0
         claimed_active = 0
         pending = 0
-        steals = 0
         expired = 0
         for uid in uids:
             data = _read_json(self.unit_path(uid))
             cells += len(data.get("keys", ())) if data else 0
             done = self.read_done(uid)
             if done is not None:
-                steals += int(done.get("steals", 0))
                 if done.get("cancelled"):
                     cancelled_units += 1
                     continue
@@ -588,8 +575,6 @@ class WorkQueue:
                 cached += int(done.get("cached", 0))
                 continue
             claim = self.read_claim(uid)
-            if claim is not None:
-                steals += int(claim.get("steals", 0))
             if claim is not None and float(claim.get("expires", 0.0)) > now:
                 claimed_active += 1
             else:
@@ -606,7 +591,7 @@ class WorkQueue:
             "executed": executed,
             "salvaged": salvaged,
             "cached": cached,
-            "steals": steals,
+            "steals": sum(self._steal_counts().get(uid, 0) for uid in uids),
             "expired": expired,
             "workers": len(self.result_store_dirs()),
         }

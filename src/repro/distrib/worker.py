@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import contextlib
 import os
+import re
 import socket
 import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
 from ..exceptions import ReproError, StoreError
-from ..obs.events import EventJournal
+from ..obs.events import EventJournal, check_writer_name
 from ..obs.metrics import get_registry
 from ..runtime.executors import SerialExecutor, run_sweep
 from ..runtime.records import RunRecord
@@ -44,9 +45,14 @@ DEFAULT_HEARTBEAT_CAP = 15.0
 
 
 def default_worker_id() -> str:
-    """``<host>-<pid>``: unique per live process, stable within it."""
-    host = socket.gethostname().split(".", 1)[0] or "worker"
-    return f"{host}-{os.getpid()}"
+    """``<host>-<pid>``: unique per live process, stable within it.
+
+    Hostname characters a worker id may not hold become ``-`` (runs of
+    them one ``-``), so the default is always a valid id.
+    """
+    host = socket.gethostname().split(".", 1)[0]
+    host = re.sub(r"-{2,}", "-", re.sub(r"[^A-Za-z0-9_-]", "-", host)).strip("-_")
+    return f"{host or 'worker'}-{os.getpid()}"
 
 
 class Worker:
@@ -60,6 +66,9 @@ class Worker:
         This worker's identity; defaults to ``<host>-<pid>``.  Re-using an
         id across *sequential* lives is encouraged (a restart reclaims its
         own leases immediately); sharing one between live processes is not.
+        It names the worker's shard directory and journal shard, so it
+        follows the journal writer rule (``[A-Za-z0-9][A-Za-z0-9._-]*``, no
+        ``--``); anything else raises :class:`ReproError`.
     results_root:
         Where worker shards live.  Defaults to ``<queue>/results``; the
         worker's own store is ``<results_root>/<worker_id>/``.
@@ -75,10 +84,8 @@ class Worker:
         **lease renewal** of the unit in flight).  Defaults to a third of
         the lease TTL, capped at :data:`DEFAULT_HEARTBEAT_CAP` — three
         missed beats before the lease becomes stealable.
-    journal:
-        Emit fleet events into ``<queue>/journal``.  On by default; turn
-        off to measure or run journal-free (heartbeat-driven lease renewal
-        still happens — liveness is not an observability option).
+
+    Every worker journals its fleet events into ``<queue>/journal``.
     """
 
     def __init__(
@@ -92,10 +99,11 @@ class Worker:
         max_units: Optional[int] = None,
         progress: Optional[Callable[[str, Dict[str, int]], None]] = None,
         heartbeat_interval: Optional[float] = None,
-        journal: bool = True,
     ) -> None:
+        self.worker_id = check_writer_name(
+            worker_id if worker_id is not None else default_worker_id(), "worker id"
+        )
         self.queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue)
-        self.worker_id = worker_id if worker_id is not None else default_worker_id()
         self.results_root = (
             Path(results_root) if results_root is not None else self.queue.results_root
         )
@@ -108,7 +116,6 @@ class Worker:
             if heartbeat_interval is not None
             else min(DEFAULT_HEARTBEAT_CAP, lease_ttl / 3.0)
         )
-        self.journal = journal
         self._journal: Optional[EventJournal] = None
         self._last_beat = 0.0
         self._current: Dict[str, Any] = {}
@@ -285,11 +292,7 @@ class Worker:
              "executed": ...}
         """
         totals = {"units": 0, "total": 0, "cached": 0, "salvaged": 0, "executed": 0}
-        if self.journal:
-            try:
-                self._journal = self.queue.attach_journal(self.worker_id)
-            except ReproError:
-                self._journal = None  # unjournalable worker id: run dark
+        self._journal = self.queue.attach_journal(self.worker_id)
         self._emit(
             "worker.start",
             worker=self.worker_id,
@@ -314,16 +317,12 @@ class Worker:
                         unit = self.queue.load_unit(uid)
                         counts = self.process_unit(unit, own)
                         own.flush()
-                        # Carry the claim's steal provenance into the durable
-                        # done marker (the claim file dies with the release).
-                        claim = self.queue.read_claim(uid) or {}
                         self.queue.write_done(
                             uid,
                             {
                                 "unit": uid,
                                 "worker": self.worker_id,
                                 "keys": list(unit.keys),
-                                "steals": int(claim.get("steals", 0)),
                                 **counts,
                             },
                         )

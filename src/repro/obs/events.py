@@ -32,7 +32,7 @@ type                   emitted when
 ``lease.renew``        a live worker extended its lease mid-unit
 ``unit.start``         a worker began executing a claimed unit
 ``cell.done``          one cell satisfied (``status``: executed/cached/salvaged)
-``unit.done``          a unit's done marker was written
+``unit.done``          a unit's done marker is about to land (the last wins)
 ``unit.cancelled``     a unit was tombstoned via the cancel protocol
 ``worker.start``       a worker process entered its drain loop
 ``worker.heartbeat``   periodic liveness (pid, host, unit, cells done, metrics)
@@ -44,6 +44,7 @@ type                   emitted when
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
@@ -59,6 +60,7 @@ __all__ = [
     "EventJournal",
     "EVENT_SCHEMA_VERSION",
     "JOURNAL_DIR_NAME",
+    "check_writer_name",
     "sweep_timeline",
     "executed_cells",
     "fleet_summary",
@@ -79,6 +81,16 @@ _SHARD_PREFIX = "events--"
 _WRITER_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
 
+def check_writer_name(name: str, what: str = "journal writer name") -> str:
+    """``name``, if it may name a journal shard (and so a worker)."""
+    if not _WRITER_RE.match(name) or "--" in name:
+        raise ReproError(
+            f"invalid {what} {name!r}: use letters, digits, '.', '_' or '-' "
+            "(and no '--', the namespace separator)"
+        )
+    return name
+
+
 def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
     tmp = path.with_suffix(path.suffix + f".tmp-{os.getpid()}")
     tmp.write_text(
@@ -88,12 +100,9 @@ def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
     os.replace(tmp, path)
 
 
-def _split_lines(text: str) -> List[str]:
-    """Complete (newline-terminated) lines only: a torn tail is not data."""
-    if not text:
-        return []
-    lines = text.split("\n")
-    return lines[:-1]
+def _order(event: Mapping[str, Any]) -> tuple:
+    """The journal's total order: timestamp, then writer, then sequence."""
+    return (event.get("ts", 0.0), event.get("writer") or "", event.get("seq", 0))
 
 
 class EventJournal:
@@ -125,14 +134,11 @@ class EventJournal:
         fsync: bool = False,
     ) -> None:
         self.root = Path(root)
-        if writer is not None and (not _WRITER_RE.match(writer) or "--" in writer):
-            raise ReproError(
-                f"invalid journal writer name {writer!r}: use letters, digits, "
-                "'.', '_' or '-' (and no '--', the namespace separator)"
-            )
-        self.writer = writer
+        self.writer = writer if writer is None else check_writer_name(writer)
         self.fsync = fsync
         self.dropped = 0  # malformed lines skipped by the last read
+        # Read memo: (bytes parsed per shard, merged events, malformed lines).
+        self._memo: tuple = ({}, [], 0)
         if create or writer is not None:
             (self.root / _HEARTBEAT_DIR).mkdir(parents=True, exist_ok=True)
         self._handle = None
@@ -167,9 +173,7 @@ class EventJournal:
                 # A restarted writer continues its own numbering: seq picks up
                 # after the last complete line of its previous life's shard.
                 try:
-                    self._seq = len(
-                        _split_lines(path.read_text(encoding="utf-8"))
-                    )
+                    self._seq = path.read_bytes().count(b"\n")
                 except OSError:
                     self._seq = 0
             self._handle = path.open("a", encoding="utf-8")
@@ -239,28 +243,13 @@ class EventJournal:
         field when present, else its ``writer`` stamp (dispatch and serve
         events carry no worker).  Malformed interior lines are skipped and
         counted in :attr:`dropped` — the journal never raises on read.
+
+        Shards are append-only, so a handle parses each line once: a later
+        read on the same handle (a status poll, a ``/metrics`` scrape, a
+        ``tail --follow``) parses only what was appended since.  Callers
+        must not mutate the returned events.
         """
-        merged: List[Dict[str, Any]] = []
-        dropped = 0
-        for path in self.shard_paths():
-            try:
-                text = path.read_text(encoding="utf-8")
-            except OSError:
-                continue
-            for line in _split_lines(text):
-                if not line.strip():
-                    continue
-                try:
-                    event = json.loads(line)
-                except json.JSONDecodeError:
-                    dropped += 1
-                    continue
-                if not isinstance(event, dict) or "type" not in event:
-                    dropped += 1
-                    continue
-                merged.append(event)
-        self.dropped = dropped
-        merged.sort(key=lambda e: (e.get("ts", 0.0), e.get("writer") or "", e.get("seq", 0)))
+        merged = self._read_merged()
         if type is not None:
             merged = [e for e in merged if e.get("type") == type]
         if worker is not None:
@@ -271,6 +260,50 @@ class EventJournal:
             merged = [e for e in merged if e.get("unit") == unit]
         if since is not None:
             merged = [e for e in merged if float(e.get("ts", 0.0)) >= since]
+        return list(merged)
+
+    def _read_merged(self) -> List[Dict[str, Any]]:
+        """Every shard's events, sorted by ``(ts, writer, seq)``.
+
+        Parses only the complete lines past each shard's memoised offset and
+        sorts them into the view from where the earliest of them falls.  A
+        shard that shrank or vanished was replaced: the view is rebuilt.
+        """
+        offsets, merged, dropped = self._memo
+        paths = self.shard_paths()
+        if not offsets.keys() <= {path.name for path in paths}:
+            offsets, merged, dropped = {}, [], 0
+        offsets, fresh = dict(offsets), []
+        for path in paths:
+            try:
+                with path.open("rb") as handle:
+                    offset = offsets.get(path.name, 0)
+                    if os.fstat(handle.fileno()).st_size < offset:
+                        self._memo = ({}, [], 0)
+                        return self._read_merged()
+                    handle.seek(offset)
+                    chunk = handle.read()
+            except OSError:
+                continue
+            chunk = chunk[: chunk.rfind(b"\n") + 1]  # a torn tail is not data
+            offsets[path.name] = offset + len(chunk)
+            for line in chunk.decode("utf-8", errors="replace").split("\n"):
+                if not line.strip():
+                    continue
+                try:
+                    event = json.loads(line)
+                except json.JSONDecodeError:
+                    event = None
+                if isinstance(event, dict) and "type" in event:
+                    fresh.append(event)
+                else:
+                    dropped += 1
+        if fresh:
+            fresh.sort(key=_order)
+            cut = bisect.bisect_right(merged, _order(fresh[0]), key=_order)
+            merged = merged[:cut] + sorted(merged[cut:] + fresh, key=_order)
+        self._memo = (offsets, merged, dropped)
+        self.dropped = dropped
         return merged
 
     def latest_heartbeats(self) -> Dict[str, Dict[str, Any]]:
@@ -288,7 +321,7 @@ class EventJournal:
         return beats
 
     def generation(self) -> str:
-        """Cheap change fingerprint over the shard files (for ETags).
+        """Cheap change fingerprint over the shard files (ETags, parse memo).
 
         Hashes every shard's ``(name, size, mtime_ns)`` — two reads return
         the same generation iff no shard grew in between, without reading
@@ -322,7 +355,7 @@ def sweep_timeline(
     Returns ``{unit_id: entry}`` where each entry holds the unit's ordered
     ``claims`` (each with ``kind`` fresh/reclaim/steal), ``renews`` count,
     ``expires`` (observed lease expiries, naming victims), per-key ``cells``
-    (the last ``cell.done`` event per key), and the terminal ``done`` /
+    (the last ``cell.done`` event per key), and the last terminal ``done`` /
     ``cancelled`` event when one landed.  Restricting to ``unit_ids`` scopes
     the view to one dispatch on a shared queue directory.
     """
@@ -356,12 +389,10 @@ def sweep_timeline(
             key = event.get("key")
             if key is not None:
                 entry(uid)["cells"][key] = event
-        elif kind == "unit.done":
-            entry(uid)["done"] = event
-        elif kind == "unit.cancelled":
+        elif kind in ("unit.done", "unit.cancelled"):
             record = entry(uid)
             record["done"] = event
-            record["cancelled"] = True
+            record["cancelled"] = kind == "unit.cancelled"
     return timeline
 
 

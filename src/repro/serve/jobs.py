@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from ..distrib.dispatcher import DEFAULT_UNIT_SIZE, Dispatcher
 from ..distrib.queue import WorkQueue
-from ..exceptions import QueueError, ReproError
+from ..exceptions import QueueError
 from ..runtime.spec import SweepSpec, canonical_json
 from ..store.base import ResultStore
 
@@ -59,14 +59,11 @@ class SweepJobs:
         self.jobs_root.mkdir(parents=True, exist_ok=True)
         # The serve tier journals under its own writer, so job submissions
         # and cancellations interleave (file-wise) with nobody.
-        with contextlib.suppress(ReproError, OSError):
-            self.queue.attach_journal(f"serve-{os.getpid()}")
+        self._journal = self.queue.attach_journal(f"serve-{os.getpid()}")
 
     def _emit(self, type: str, **fields: Any) -> None:
-        journal = self.queue.attached_journal
-        if journal is not None:
-            with contextlib.suppress(OSError):
-                journal.append(type, **fields)
+        with contextlib.suppress(OSError):
+            self._journal.append(type, **fields)
 
     @property
     def jobs_root(self) -> Path:

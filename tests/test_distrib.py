@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.distrib import Dispatcher, QueueExecutor, Worker, WorkQueue, unit_id
 from repro.exceptions import QueueError, ReproError
+from repro.obs.events import EventJournal, sweep_timeline
 from repro.runtime import ScenarioSpec, SweepSpec
 from repro.runtime.executors import make_executor, run_sweep
 from repro.runtime.runner import run
@@ -24,6 +25,12 @@ def _queue(tmp_path, unit_size=2, sweep=GRID, store=None) -> WorkQueue:
     queue = WorkQueue(tmp_path / "queue", create=True)
     Dispatcher(queue, unit_size=unit_size).dispatch(sweep, store=store)
     return queue
+
+
+def _claim_kinds(queue: WorkQueue, uid: str) -> list:
+    """The unit's journalled claims as ``(kind, worker, stolen_from)``."""
+    claims = sweep_timeline(queue.journal(), [uid]).get(uid, {"claims": []})["claims"]
+    return [(c["kind"], c["worker"], c.get("stolen_from")) for c in claims]
 
 
 def _shard_record_count(queue: WorkQueue) -> int:
@@ -201,8 +208,41 @@ class TestWorker:
         assert status["steals"] == status["expired"] == 0
 
 
+class TestWorkerIds:
+    """Worker ids name a shard directory and a journal shard: they are
+    checked before either is created."""
+
+    @pytest.mark.parametrize("bad", ["../escape", "a/b", "a--b", "-lead", ""])
+    def test_invalid_ids_are_refused(self, tmp_path, bad):
+        queue = _queue(tmp_path)
+        with pytest.raises(ReproError, match="invalid worker id"):
+            Worker(queue, worker_id=bad)
+
+    @pytest.mark.parametrize("bad", ["../escape", "a/b", "a--b"])
+    def test_cli_refuses_them_and_creates_nothing(self, tmp_path, capsys, bad):
+        queue = _queue(tmp_path)
+        before = sorted(p for p in tmp_path.rglob("*"))
+        assert main(["worker", "--queue", str(queue.root), "--worker-id", bad,
+                     "--quiet"]) != 0
+        assert "invalid worker id" in capsys.readouterr().err
+        assert sorted(p for p in tmp_path.rglob("*")) == before
+        assert not (tmp_path / "escape").exists()
+
+    @pytest.mark.parametrize(
+        "host", ["node_7.cluster", "bad host!", "x--y", "--", "-a-", "_", ""]
+    )
+    def test_default_id_is_always_valid(self, monkeypatch, host):
+        from repro.distrib import worker as worker_module
+        from repro.obs.events import check_writer_name
+
+        monkeypatch.setattr(worker_module.socket, "gethostname", lambda: host)
+        ident = worker_module.default_worker_id()
+        assert check_writer_name(ident) == ident
+        assert ident.endswith(f"-{os.getpid()}")
+
+
 class TestLeaseObservability:
-    """Steal/expiry provenance salvaged from claim and done files alone."""
+    """Steal provenance read from the journal; expiry from the claim files."""
 
     def test_expired_then_stolen_lease_is_counted(self, tmp_path):
         queue = _queue(tmp_path)
@@ -216,8 +256,9 @@ class TestLeaseObservability:
         assert states[uid]["lease_expired"] is True
 
         assert queue.try_claim(uid, "w2", ttl=60)  # the steal
-        claim = queue.read_claim(uid)
-        assert claim["steals"] == 1 and claim["stolen_from"] == "dead"
+        assert _claim_kinds(queue, uid) == [
+            ("fresh", "dead", None), ("steal", "w2", "dead"),
+        ]
         status = queue.status()
         assert status["steals"] == 1 and status["expired"] == 0
         states = {entry["unit"]: entry for entry in queue.unit_states()}
@@ -228,15 +269,16 @@ class TestLeaseObservability:
         uid = queue.units()[0]
         assert queue.try_claim(uid, "dead", ttl=-1)
         Worker(queue, worker_id="w2", lease_ttl=60, poll=0.05).run()
-        # The claim file is gone with the release; the done marker carries
-        # the provenance, so status() totals it from durable files alone.
+        # The claim file is gone with the release and the done marker holds
+        # no provenance; the journal still knows about the steal.
         assert queue.read_claim(uid) is None
-        assert queue.read_done(uid)["steals"] == 1
+        assert [k for k, _, _ in _claim_kinds(queue, uid)] == ["fresh", "steal"]
         status = queue.status()
         assert status["done"] == 2 and status["steals"] == 1
         assert status["expired"] == 0
         states = {entry["unit"]: entry for entry in queue.unit_states()}
         assert states[uid]["steals"] == 1
+        assert all("steals" not in states[u] for u in states if u != uid)
 
     def test_reclaim_preserves_accumulated_steals(self, tmp_path):
         queue = _queue(tmp_path)
@@ -244,10 +286,91 @@ class TestLeaseObservability:
         assert queue.try_claim(uid, "dead", ttl=-1)
         assert queue.try_claim(uid, "w2", ttl=-1)  # steal #1, also expired
         assert queue.try_claim(uid, "w2", ttl=60)  # own reclaim: not a steal
-        claim = queue.read_claim(uid)
-        assert claim["steals"] == 1 and claim["stolen_from"] == "dead"
+        assert _claim_kinds(queue, uid) == [
+            ("fresh", "dead", None), ("steal", "w2", "dead"), ("reclaim", "w2", None),
+        ]
+        assert queue.status()["steals"] == 1
         # w2's reclaim installed a live 60s lease, so w3 cannot win it.
         assert not queue.try_claim(uid, "w3", ttl=60)
+
+    def test_successive_steals_of_one_unit_count_twice(self, tmp_path):
+        queue = _queue(tmp_path)
+        uid = queue.units()[0]
+        assert queue.try_claim(uid, "dead", ttl=-1)
+        assert queue.try_claim(uid, "w2", ttl=-1)  # steal #1, expires at once
+        assert queue.try_claim(uid, "w3", ttl=60)  # steal #2
+        assert _claim_kinds(queue, uid)[1:] == [
+            ("steal", "w2", "dead"), ("steal", "w3", "w2"),
+        ]
+        assert queue.status()["steals"] == 2
+        states = {entry["unit"]: entry for entry in queue.unit_states()}
+        assert states[uid]["steals"] == 2
+
+    def test_steals_survive_release_and_cancellation(self, tmp_path):
+        queue = _queue(tmp_path)
+        first, second = queue.units()
+        assert queue.try_claim(first, "dead", ttl=-1)
+        assert queue.try_claim(first, "w2", ttl=60)
+        queue.release_claim(first, "w2")  # released without a done marker
+        assert queue.status()["steals"] == 1
+        assert queue.try_claim(second, "dead", ttl=-1)
+        assert queue.cancel_unit(second) == "cancelled"  # cancelling steals
+        assert queue.status()["steals"] == 2
+        states = {entry["unit"]: entry for entry in queue.unit_states()}
+        assert states[second]["state"] == "cancelled"
+        assert states[second]["steals"] == 1
+
+    def test_release_without_done_keeps_its_steal(self, tmp_path):
+        # Intended: when steals lived in claim files, releasing a stolen unit
+        # without a done marker deleted its only record.  The journal keeps
+        # it, so the queue total still counts the steal; the pending unit's
+        # own entry carries no counters, as before.
+        queue = _queue(tmp_path)
+        uid = queue.units()[0]
+        assert queue.try_claim(uid, "dead", ttl=-1)
+        assert queue.try_claim(uid, "w2", ttl=60)
+        queue.release_claim(uid, "w2")
+        assert queue.read_claim(uid) is None and queue.read_done(uid) is None
+        status = queue.status()
+        assert status["steals"] == 1 and status["pending"] == 2
+        states = {entry["unit"]: entry for entry in queue.unit_states()}
+        assert states[uid]["state"] == "pending" and "steals" not in states[uid]
+
+    def test_steal_whose_append_failed_is_not_counted(self, tmp_path, monkeypatch):
+        # Intended: the journal is the only record, so a steal it could not
+        # record (disk trouble) is lost to status(); the lease itself moved.
+        queue = _queue(tmp_path)
+        uid = queue.units()[0]
+        assert queue.try_claim(uid, "dead", ttl=-1)
+
+        def failing_append(self, type, **fields):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(EventJournal, "append", failing_append)
+            assert queue.try_claim(uid, "w2", ttl=60)
+        assert queue.read_claim(uid)["worker"] == "w2"
+        assert queue.status()["steals"] == 0
+        states = {entry["unit"]: entry for entry in queue.unit_states()}
+        assert states[uid]["state"] == "claimed" and "steals" not in states[uid]
+
+    def test_claim_and_done_files_hold_no_provenance(self, tmp_path):
+        queue = _queue(tmp_path)
+        first, second = queue.units()
+        claim_path = queue.claim_path(first)
+        assert queue.try_claim(first, "dead", ttl=-1)
+        assert queue.try_claim(first, "w2", ttl=-1)  # a steal
+        seen = [claim_path.read_text(encoding="utf-8")]
+        assert queue.try_claim(first, "w2", ttl=-1)  # a reclaim
+        seen.append(claim_path.read_text(encoding="utf-8"))
+        assert queue.renew_claim(first, "w2", ttl=-1)  # a renewal
+        seen.append(claim_path.read_text(encoding="utf-8"))
+        assert queue.cancel_unit(second) == "cancelled"
+        Worker(queue, worker_id="w3", lease_ttl=60, poll=0.05).run()  # steal #2
+        assert queue.status()["steals"] == 2
+        seen += [queue.done_path(uid).read_text(encoding="utf-8") for uid in (first, second)]
+        for text in seen:
+            assert "steals" not in text and "stolen_from" not in text, text
 
     def test_cli_status_prints_lease_counters(self, tmp_path, capsys):
         queue = _queue(tmp_path)
@@ -299,8 +422,10 @@ class TestLeaseRenewal:
         assert queue.try_claim(uid, "dead", ttl=-1)
         assert queue.try_claim(uid, "w2", ttl=60)
         assert queue.renew_claim(uid, "w2", ttl=60) is True
-        claim = queue.read_claim(uid)
-        assert claim["steals"] == 1 and claim["stolen_from"] == "dead"
+        assert _claim_kinds(queue, uid)[-1] == ("steal", "w2", "dead")
+        assert queue.status()["steals"] == 1
+        states = {entry["unit"]: entry for entry in queue.unit_states()}
+        assert states[uid]["state"] == "claimed" and states[uid]["steals"] == 1
 
     def test_worker_heartbeat_renews_mid_unit(self, tmp_path):
         """A unit longer than the lease TTL finishes under its first owner
@@ -323,11 +448,8 @@ class TestLeaseRenewal:
         queue.renew_claim = lambda *a, **kw: (  # type: ignore[method-assign]
             renewed.append(a), original(*a, **kw)
         )[1]
-        Worker(
-            queue, worker_id="w1", lease_ttl=60,
-            heartbeat_interval=0.0, journal=False,
-        ).run()
-        assert renewed  # liveness is not an observability option
+        Worker(queue, worker_id="w1", lease_ttl=60, heartbeat_interval=0.0).run()
+        assert renewed  # heartbeats renew through the queue's claim files
 
 
 class TestQueueExecutor:
@@ -553,9 +675,11 @@ class TestStatusHeartbeats:
                      "--lease-ttl", "0.01"]) == 0
         assert "STALE" in capsys.readouterr().out
 
-    def test_status_without_journal_stays_quiet(self, tmp_path, capsys):
+    def test_status_reports_the_drained_workers_heartbeat(self, tmp_path, capsys):
         queue = _queue(tmp_path)
-        Worker(queue, worker_id="w1", lease_ttl=60, journal=False).run()
-        # Only dispatch journalled; no worker heartbeats to report.
+        assert Worker(queue, worker_id="w1", lease_ttl=60).run()["executed"] == 4
+        # Every worker journals; the dispatcher journals too but never beats.
         assert main(["queue", "status", "--queue", str(queue.root)]) == 0
-        assert "heartbeat" not in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        beats = [line for line in lines if "heartbeat" in line]
+        assert len(beats) == 1 and beats[0].startswith("worker w1: heartbeat")

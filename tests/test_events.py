@@ -121,6 +121,38 @@ class TestJournalRead:
         assert len(events) == 4  # the good lines, nothing else
         assert journal.dropped == 2  # torn tail is not even counted as a line
 
+    def test_a_handle_parses_each_line_once(self, tmp_path, monkeypatch):
+        journal = self._seed(tmp_path)
+        parsed = []
+        loads = json.loads
+
+        def counting(line, *args, **kwargs):
+            parsed.append(line)
+            return loads(line, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting)
+        assert len(journal.events()) == 4
+        assert len(journal.events(unit="u1")) == 3
+        assert len(parsed) == 4  # unchanged shards: nothing re-parsed
+        with EventJournal(tmp_path / "j", writer="w3") as w3:
+            w3.append("unit.done", unit="u2", ts=0.5)
+        events = journal.events()
+        assert len(parsed) == 5  # only the appended line
+        assert [e["ts"] for e in events] == [0.5, 1.0, 2.0, 3.0, 4.0]
+        # A torn tail waits, unparsed, until its writer completes the line.
+        with journal.shard_path("w3").open("a", encoding="utf-8") as handle:
+            handle.write('{"type": "unit.start", "ts": 6.0')
+            handle.flush()
+            assert len(journal.events()) == 5
+            handle.write("}\n")
+        assert [e["ts"] for e in journal.events()][-1] == 6.0
+        # A replaced (shorter) shard is parsed afresh.
+        journal.shard_path("w1").write_text(
+            json.dumps({"type": "unit.start", "ts": 7.0, "writer": "w1"}) + "\n",
+            encoding="utf-8",
+        )
+        assert [e["ts"] for e in journal.events()] == [0.5, 2.0, 4.0, 6.0, 7.0]
+
     def test_heartbeat_keeps_only_the_latest_snapshot(self, tmp_path):
         with EventJournal(tmp_path / "j", writer="w1") as journal:
             journal.heartbeat(unit="u1", cells_done=1, ts=1.0)
@@ -240,12 +272,62 @@ class TestFabricJournal:
         others = [u for u in queue.units() if u != uid]
         assert all(not timeline[u]["cancelled"] for u in others)
 
-    def test_journal_off_worker_still_drains(self, tmp_path):
+    def test_the_last_terminal_event_decides_the_unit(self):
+        # A canceller killed after journalling ``unit.cancelled`` but before
+        # its done marker leaves the unit to a worker, whose ``unit.done``
+        # then ends the unit's history.
+        events = [
+            {"type": "unit.cancelled", "unit": "u1", "ts": 1.0},
+            {"type": "unit.done", "unit": "u1", "worker": "w1", "ts": 2.0},
+        ]
+        entry = sweep_timeline(events)["u1"]
+        assert entry["cancelled"] is False and entry["done"]["worker"] == "w1"
+        entry = sweep_timeline(events[::-1])["u1"]
+        assert entry["cancelled"] is True
+
+    def test_every_worker_journals_into_its_own_shard(self, tmp_path):
         queue = _queue(tmp_path)
-        totals = Worker(queue, worker_id="w1", lease_ttl=60, journal=False).run()
+        totals = Worker(queue, worker_id="w1", lease_ttl=60).run()
         assert totals["executed"] == 4
-        # Only the dispatcher journalled; no worker shard exists.
-        assert queue.journal().events(type="cell.done") == []
+        journal = queue.journal()
+        assert journal.shard_path("w1").exists()
+        cells = journal.events(type="cell.done")
+        assert len(cells) == 4 and {e["writer"] for e in cells} == {"w1"}
+
+    def test_death_between_done_event_and_marker_is_rescued(self, tmp_path, monkeypatch):
+        """``unit.done`` is journalled before the done marker lands, so a
+        worker dying in between leaves an unfinished unit that the next
+        worker salvages and journals a final ``unit.done`` for."""
+        from repro.distrib import queue as queue_module
+
+        class Killed(Exception):
+            pass
+
+        queue = _queue(tmp_path)
+        uid = queue.units()[0]
+        real_write = queue_module._atomic_write_json
+
+        def dies_before_the_marker(path, payload):
+            if path == queue.done_path(uid):
+                raise Killed
+            real_write(path, payload)
+
+        monkeypatch.setattr(queue_module, "_atomic_write_json", dies_before_the_marker)
+        with pytest.raises(Killed):
+            Worker(queue, worker_id="doomed", lease_ttl=60).run()
+        monkeypatch.undo()
+        assert not queue.is_done(uid)
+        assert sweep_timeline(queue.journal())[uid]["done"]["worker"] == "doomed"
+
+        Worker(queue, worker_id="rescuer", lease_ttl=60).run()
+        entry = sweep_timeline(queue.journal())[uid]
+        assert entry["done"]["worker"] == "rescuer"
+        assert (entry["done"]["executed"], entry["done"]["salvaged"]) == (0, 2)
+        assert queue.read_done(uid)["salvaged"] == 2
+        assert {e["status"] for e in entry["cells"].values()} == {"salvaged"}
+        executed = [e["key"] for e in queue.journal().events(type="cell.done")
+                    if e["status"] == "executed"]
+        assert sorted(executed) == sorted(set(executed)) and len(executed) == 4
 
 
 class TestSigkilledWorker:
