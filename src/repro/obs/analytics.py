@@ -9,8 +9,8 @@ aggregate* across a store.  Three views:
 * :func:`trace_top` — which spans dominate wall time across a whole store
   (the ``repro trace top`` table);
 * :func:`trace_diff` — attribute the wall-time delta between two runs to
-  named spans (the ``repro trace diff`` table), so a perfgate regression
-  points at ``engine.apply.sweep``, not just at a number.
+  named spans (the ``repro trace diff`` table), so a slower run points at
+  ``engine.apply.sweep``, not just at a number.
 
 The diff works on *components*: the span hierarchy (known from
 :mod:`repro.obs.profile`'s child-span constants, extended by the dotted

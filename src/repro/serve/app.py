@@ -638,11 +638,27 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         parsed = urlsplit(self.path)
         params = {key: values[-1] for key, values in parse_qs(parsed.query).items()}
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Where the body ends is unknown, so the connection cannot carry
+            # another request: answer and hang up (send_header sets
+            # close_connection for "Connection: close").
+            self._send(_json_response(
+                {"error": f"invalid Content-Length {raw_length!r}"},
+                status=400,
+                headers={"Connection": "close"},
+            ))
+            return
         body = self.rfile.read(length) if length else b""
-        response = self.service.handle(
+        self._send(self.service.handle(
             method, parsed.path, params=params, headers=dict(self.headers), body=body
-        )
+        ))
+
+    def _send(self, response: Response) -> None:
         self.send_response(response.status)
         for name, value in response.headers.items():
             self.send_header(name, value)

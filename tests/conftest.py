@@ -22,31 +22,6 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--perfgate",
-        action="store_true",
-        default=False,
-        help="run the perf-regression gate (tests marked 'perfgate'), which "
-        "compares the newest BENCH_results.json session against the stored "
-        "history and fails on a >1.5x cells/sec slowdown",
-    )
-
-
-def pytest_collection_modifyitems(
-    config: pytest.Config, items: list[pytest.Item]
-) -> None:
-    # The perf gate compares wall-clock throughput across benchmark sessions,
-    # so it only means something on a machine that has run the benchmarks —
-    # opt in explicitly rather than flaking every plain `pytest` invocation.
-    if config.getoption("--perfgate"):
-        return
-    skip = pytest.mark.skip(reason="perf-regression gate is opt-in: pass --perfgate")
-    for item in items:
-        if "perfgate" in item.keywords:
-            item.add_marker(skip)
-
-
 class TinyCostModel(CostModel):
     """A cost model with a very short exploration sequence (``P(k) = k + 2``).
 

@@ -308,17 +308,28 @@ class TestTermination:
         assert partial.total_traversals >= 10
 
     def test_cost_limit_can_return_instead(self, ring6):
-        a = scripted("a", [0] * 50, label=1)
-        engine = AsyncEngine(
-            ring6,
-            [AgentSpec(a, 0)],
-            RoundRobinScheduler(),
-            max_traversals=10,
-            on_cost_limit="return",
-        )
-        result = engine.run()
-        assert result.reason == StopReason.COST_LIMIT
-        assert not result.succeeded
+        # One walker alone, then two with no rendezvous goal that burn the
+        # whole budget through the fused loop (round_robin, random) and the
+        # generic one (avoider).
+        cases = [(RoundRobinScheduler(), 1)] + [
+            (scheduler, 2)
+            for scheduler in (RoundRobinScheduler(), RandomScheduler(seed=1),
+                              GreedyAvoidingScheduler(patience=4))
+        ]
+        for scheduler, walkers in cases:
+            agents = [AgentSpec(scripted("a", [0] * 50, label=1), 0),
+                      AgentSpec(scripted("b", [1] * 50, label=2), 3)][:walkers]
+            engine = AsyncEngine(
+                ring6,
+                agents,
+                scheduler,
+                max_traversals=10,
+                on_cost_limit="return",
+            )
+            result = engine.run()
+            assert result.reason == StopReason.COST_LIMIT
+            assert not result.succeeded
+            assert result.total_traversals >= 10 and result.decisions > 0
 
     def test_scheduler_exhausted(self, ring6):
         a = scripted("a", [0] * 5, label=1)

@@ -14,6 +14,7 @@ from repro.analysis.experiment_spec import (
     experiment_spec,
     run_experiment,
 )
+from repro.analysis.fitting import fit_power_law
 from repro.exceptions import ReproError
 from repro.exploration.cost_model import PaperCostModel
 
@@ -116,6 +117,7 @@ class TestCompatWrappers:
         result = run("F1", model=sim_model, ks=(1, 2))
         figures = {row["figure"] for row in result.rows}
         assert figures == {"Figure 1", "Figure 2", "Figure 3", "Figure 4"}
+        assert len(result.rows) == 4 * 2
         assert all(row["length"] > 0 for row in result.rows)
         table = result.render()
         assert "trunk nodes" in table and "Figure 3" in table
@@ -153,6 +155,18 @@ class TestCompatWrappers:
         assert len(result.rows) == 15
         table = result.render()
         assert "polynomial" in table and "exponential" in table
+        # The degree of P(k) carries over into the degree of Pi(n, 2) in n.
+        degrees = []
+        for exponent in (1, 2, 3):
+            rows = run(
+                "E3",
+                model=PaperCostModel(length_coefficient=1, length_exponent=exponent),
+                sizes=(4, 8, 16, 32),
+                labels=(2,),
+            ).rows
+            fit = fit_power_law([row["n"] for row in rows], [row["rv_bound"] for row in rows])
+            degrees.append(fit.slope)
+        assert degrees == sorted(degrees) and degrees[0] < degrees[-1]
 
     def test_e4_phases_within_bound(self, sim_model):
         rows = run("E4", model=sim_model, sizes=(4,), families=("ring", "path")).rows
@@ -161,16 +175,18 @@ class TestCompatWrappers:
         assert all(row["final_phase"] <= row["phase_bound"] for row in rows)
 
     def test_e5_patience_sweep(self, sim_model):
-        rows = run(
-            "E5",
-            model=sim_model,
-            family="ring",
-            n=6,
-            patiences=(4, 16),
-            max_traversals=300_000,
-        ).rows
-        schedulers = [row["scheduler"] for row in rows]
-        assert schedulers.count("avoider") == 2
-        assert all(row["met"] for row in rows)
-        # The patience column shows 0 for the adversaries without the knob.
-        assert [row["patience"] for row in rows] == [0, 0, 0, 0, 4, 16]
+        for family, seed in (("ring", 0), ("erdos_renyi", 3)):
+            rows = run(
+                "E5",
+                model=sim_model,
+                family=family,
+                n=6,
+                patiences=(4, 16),
+                max_traversals=300_000,
+                seed=seed,
+            ).rows
+            schedulers = [row["scheduler"] for row in rows]
+            assert schedulers.count("avoider") == 2
+            assert all(row["met"] for row in rows)
+            # The patience column shows 0 for the adversaries without the knob.
+            assert [row["patience"] for row in rows] == [0, 0, 0, 0, 4, 16]

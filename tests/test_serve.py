@@ -374,6 +374,24 @@ class TestOverHTTP:
         assert err.value.code == 404
         assert "error" in json.load(err.value)
 
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_is_a_400_and_a_close(self, live, length):
+        request = (
+            f"POST /sweeps HTTP/1.1\r\nHost: test\r\nContent-Length: {length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection(live[1], timeout=10) as client:
+            client.sendall(request)
+            # The server answers without reading a body, then hangs up: the
+            # read below ends at EOF instead of timing out.
+            raw = b""
+            while chunk := client.recv(65536):
+                raw += chunk
+        status, headers, body = _split_response(raw)
+        assert status == 400
+        assert headers["Connection"] == "close"
+        assert int(headers["Content-Length"]) == len(body)
+        assert length in json.loads(body)["error"]
+
 
 class _RecordingSocket(socket.socket):
     """A real TCP socket that records every chunk the server sends."""

@@ -357,21 +357,25 @@ class TestSpecCoverage:
             ScenarioSpec(problem="esst", token_fraction="1/2").validate()
 
     def test_teams_values_and_dormant(self):
-        spec = ScenarioSpec(
-            problem="teams",
-            family="ring",
-            size=5,
-            labels=(9, 4, 17),
-            starts=(0, 2, 4),
-            values=("a", "b", "c"),
-            dormant=(1,),
-        )
-        record = run(spec)
-        assert record.ok
-        extra = record.extra_dict
-        assert extra["dormant"] == (1,)
-        expected = {"9": "a", "4": "b", "17": "c"}
-        assert all(mapping == expected for mapping in extra["value_maps"].values())
+        for family, size, seed in (("ring", 5, 0), ("erdos_renyi", 4, 5)):
+            spec = ScenarioSpec(
+                problem="teams",
+                family=family,
+                size=size,
+                seed=seed,
+                labels=(9, 4, 17),
+                starts=(0, 2, size - 1),
+                values=("a", "b", "c"),
+                dormant=(1,),
+            )
+            record = run(spec)
+            assert record.ok
+            extra = record.extra_dict
+            assert extra["dormant"] == (1,)
+            expected = {"9": "a", "4": "b", "17": "c"}
+            assert all(mapping == expected for mapping in extra["value_maps"].values())
+            # The string-keyed gossip maps survive the record's JSON round trip.
+            assert RunRecord.from_dict(json.loads(record.to_json())) == record
 
     def test_values_length_checked(self):
         with pytest.raises(ReproError):

@@ -202,8 +202,17 @@ class TestTickEngine:
             def on_activate(self, ctx):
                 pass
 
+        class Walker(TickAgent):
+            def on_activate(self, ctx):
+                ctx.move(ctx.tick % ctx.degree)
+
         result = self._engine([Spinner(0, 0)], max_ticks=7).run()
         assert result.reason == "tick_limit" and result.ticks == 7
+        # Walkers with no goal also spend the whole budget.
+        walkers = [Walker(index, index) for index in range(3)]
+        result = self._engine(walkers, interleaving="random", max_ticks=7).run()
+        assert result.reason == "tick_limit" and result.ticks == 7
+        assert result.activations > 0
 
     def test_crash_clears_the_inbox_and_stops_activation(self):
         agents = [_Echo(index, index) for index in range(2)]
