@@ -8,14 +8,18 @@ examples use.
 
 Examples
 --------
-Run a single rendezvous on an 8-node ring under the avoiding adversary::
+Run a single rendezvous on an 8-node ring under the avoiding adversary
+(``run`` starts from any problem kind and sets ScenarioSpec fields with
+``--set FIELD=VALUE``; VALUE is JSON, or else a plain string)::
 
-    repro rendezvous --family ring --size 8 --labels 6 11 --scheduler avoider
+    repro run rendezvous --set size=8 --set 'labels=[6,11]' --set scheduler=avoider
 
-Run a scenario stored as JSON, or write one out without running it::
+Run a scenario stored as JSON (``--set`` overrides its fields), or write one
+out without running it::
 
     repro run --spec scenario.json
-    repro rendezvous --size 8 --dump-spec scenario.json
+    repro run --spec scenario.json --set size=4
+    repro run rendezvous --set size=8 --dump-spec scenario.json
 
 Sweep a grid of scenarios over two worker processes::
 
@@ -72,18 +76,19 @@ POST /sweeps dispatches onto the queue for workers to drain)::
 
 Run Procedure ESST on a random graph::
 
-    repro esst --family erdos_renyi --size 7
+    repro run esst --set family=erdos_renyi --set size=7
 
 Run Algorithm SGL (and hence the four team problems) for 3 agents::
 
-    repro teams --family ring --size 6 --team-size 3
+    repro run teams --set size=6 --set team_size=3
 
 Run a tick-asynchronous scenario (leader election, gossip, gathering) under
 an interleaving model with crash/message faults, or sweep one over a grid
 of fault configurations::
 
-    repro tick --problem tick_leader --size 8 --interleaving random
-    repro tick --problem tick_gathering --fault-rate 0.25 --crash-window 20
+    repro run tick_leader --set size=8 --set 'problem_params={"interleaving": "random"}'
+    repro run tick_gathering \
+        --set 'problem_params={"fault_rate": 0.25, "crash_window": 20}'
     repro sweep --problem tick_leader --sizes 4 6 --seeds 5 \
         --problem-params '{"interleaving": "random", "fault_rate": 0.25}'
 
@@ -106,7 +111,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .analysis.experiment_spec import (
     EXPERIMENTS,
@@ -130,7 +135,6 @@ from .obs.metrics import MetricsRegistry, enable_metrics, set_registry
 from .obs.profile import format_profile
 from .runtime import (
     GRAPH_FAMILIES,
-    INTERLEAVERS,
     PROBLEMS,
     SCHEDULERS,
     RunRecord,
@@ -159,152 +163,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument(
-            "--family",
-            default="ring",
-            choices=sorted(GRAPH_FAMILIES),
-            help="graph family (default: ring)",
-        )
-        sub.add_argument("--size", type=int, default=6, help="graph size (default: 6)")
-        sub.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-        sub.add_argument(
-            "--max-traversals",
-            type=int,
-            default=2_000_000,
-            help="total edge-traversal budget (default: 2,000,000)",
-        )
-        sub.add_argument(
-            "--dump-spec",
-            metavar="FILE",
-            default=None,
-            help="write the scenario spec as JSON to FILE instead of running it",
-        )
-
-    rendezvous = subparsers.add_parser(
-        "rendezvous", help="run Algorithm RV-asynch-poly for two agents"
+    run_cmd = subparsers.add_parser(
+        "run",
+        help="run one scenario: a problem kind or a ScenarioSpec JSON file, "
+        "with --set overrides",
     )
-    add_common(rendezvous)
-    rendezvous.add_argument(
-        "--labels", type=int, nargs=2, default=(6, 11), help="the two agent labels"
-    )
-    rendezvous.add_argument(
-        "--scheduler",
-        default="round_robin",
-        choices=sorted(SCHEDULERS),
-        help="adversary strategy (default: round_robin)",
-    )
-    rendezvous.add_argument(
-        "--baseline",
-        action="store_true",
-        help="run the naive exponential baseline instead of RV-asynch-poly",
-    )
-
-    esst = subparsers.add_parser(
-        "esst", help="run Procedure ESST (exploration with a semi-stationary token)"
-    )
-    add_common(esst)
-    esst.add_argument(
-        "--token-node",
-        type=int,
+    run_cmd.add_argument(
+        "problem",
+        nargs="?",
         default=None,
-        help="node holding the token (default: the highest-numbered node)",
+        metavar="PROBLEM",
+        help=f"problem kind to start from ({', '.join(sorted(PROBLEMS))})",
     )
-
-    teams = subparsers.add_parser(
-        "teams", help="run Algorithm SGL and the four team problems"
+    run_cmd.add_argument(
+        "--spec", default=None, metavar="FILE", help="path to a ScenarioSpec JSON to start from"
     )
-    add_common(teams)
-    teams.add_argument("--team-size", type=int, default=3, help="number of agents (default: 3)")
-    teams.add_argument(
-        "--scheduler",
-        default="round_robin",
-        choices=sorted(SCHEDULERS),
-        help="adversary strategy (default: round_robin)",
+    run_cmd.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        dest="assignments",
+        metavar="FIELD=VALUE",
+        help="set one ScenarioSpec field (repeatable); VALUE is parsed as JSON "
+        "and otherwise taken as a string, e.g. labels=[6,11] scheduler=avoider",
     )
-
-    tick = subparsers.add_parser(
-        "tick",
-        help="run one tick-asynchronous scenario (leader election, gossip, gathering)",
-    )
-    tick.add_argument(
-        "--problem",
-        default="tick_leader",
-        choices=sorted(name for name in PROBLEMS if name.startswith("tick_")),
-        help="tick problem kind (default: tick_leader)",
-    )
-    tick.add_argument(
-        "--family",
-        default="ring",
-        choices=sorted(GRAPH_FAMILIES),
-        help="graph family (default: ring)",
-    )
-    tick.add_argument("--size", type=int, default=6, help="graph size (default: 6)")
-    tick.add_argument("--seed", type=int, default=0, help="random seed (default: 0)")
-    tick.add_argument(
-        "--interleaving",
-        default="synchronous",
-        choices=sorted(INTERLEAVERS),
-        help="tick interleaving model (default: synchronous)",
-    )
-    tick.add_argument(
-        "--patience",
-        type=int,
-        default=None,
-        help="starvation window for --interleaving lag (ticks a victim is held back)",
-    )
-    tick.add_argument(
-        "--fault-rate",
-        type=float,
-        default=0.0,
-        help="per-agent crash probability (default: 0.0)",
-    )
-    tick.add_argument(
-        "--crash-window",
-        type=int,
-        default=None,
-        help="crash ticks are drawn from [1, WINDOW] (default: --max-ticks)",
-    )
-    tick.add_argument(
-        "--drop-rate",
-        type=float,
-        default=0.0,
-        help="per-message drop probability (default: 0.0)",
-    )
-    tick.add_argument(
-        "--max-ticks",
-        type=int,
-        default=1000,
-        help="tick budget before the run stops (default: 1000)",
-    )
-    tick.add_argument(
-        "--team-size",
-        type=int,
-        default=None,
-        help="number of agents for tick_gathering (default: 3)",
-    )
-    tick.add_argument(
-        "--no-ticks",
-        action="store_true",
-        help="skip the per-tick DataCollector payload (extra['ticks'])",
-    )
-    tick.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full RunRecord as JSON instead of a summary",
-    )
-    tick.add_argument(
+    run_cmd.add_argument(
         "--dump-spec",
         metavar="FILE",
         default=None,
         help="write the scenario spec as JSON to FILE instead of running it",
-    )
-
-    run_cmd = subparsers.add_parser(
-        "run", help="run one scenario described by a JSON ScenarioSpec file"
-    )
-    run_cmd.add_argument(
-        "--spec", required=True, metavar="FILE", help="path to the ScenarioSpec JSON"
     )
     run_cmd.add_argument(
         "--json",
@@ -901,6 +788,11 @@ def _print_tick(record: RunRecord) -> None:
         print(f"tick snapshots: {len(ticks['ticks'])} recorded{suffix}")
 
 
+def _print_generic(record: RunRecord) -> None:
+    print(f"problem: {record.problem}")
+    print(f"result: {record.summary()}")
+
+
 _PRINTERS = {
     "rendezvous": _print_rendezvous,
     "baseline": _print_rendezvous,
@@ -913,101 +805,44 @@ _PRINTERS = {
 
 
 def _print_record(record: RunRecord) -> None:
-    _PRINTERS.get(record.problem, _print_rendezvous)(record)
-
-
-def _execute_or_dump(spec: ScenarioSpec, dump_spec: Optional[str]) -> int:
-    """Run ``spec`` (or write it to disk when ``--dump-spec`` was given)."""
-    if dump_spec is not None:
-        Path(dump_spec).write_text(spec.to_json() + "\n", encoding="utf-8")
-        print(f"wrote scenario spec to {dump_spec}")
-        return 0
-    record = run(spec)
-    _print_record(record)
-    return 0 if record.ok else 1
+    _PRINTERS.get(record.problem, _print_generic)(record)
 
 
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
-def _run_rendezvous(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec(
-        problem="baseline" if args.baseline else "rendezvous",
-        family=args.family,
-        size=args.size,
-        seed=args.seed,
-        labels=tuple(args.labels),
-        scheduler=args.scheduler,
-        max_traversals=args.max_traversals,
-    )
-    return _execute_or_dump(spec, args.dump_spec)
+def _parse_assignment(token: str) -> Tuple[str, Any]:
+    """Split one ``--set FIELD=VALUE`` token; VALUE is JSON, else a string."""
+    field, sep, text = token.partition("=")
+    if not sep or not field:
+        raise ReproError(f"--set expects FIELD=VALUE, got {token!r}")
+    try:
+        return field, json.loads(text)
+    except json.JSONDecodeError:
+        return field, text
 
 
-def _run_esst(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec(
-        problem="esst",
-        family=args.family,
-        size=args.size,
-        seed=args.seed,
-        token_node=args.token_node,
-        max_traversals=args.max_traversals,
-    )
-    return _execute_or_dump(spec, args.dump_spec)
+def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
+    """Build the validated ScenarioSpec that ``repro run`` describes."""
+    if (args.problem is None) == (args.spec is None):
+        raise ReproError("run needs exactly one of PROBLEM or --spec FILE")
+    changes = dict(_parse_assignment(token) for token in args.assignments)
+    try:
+        if args.spec is not None:
+            base = ScenarioSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+        else:
+            base = ScenarioSpec(problem=args.problem)
+        return ScenarioSpec.from_dict({**base.to_dict(), **changes}).validate()
+    except (TypeError, ValueError) as error:
+        raise ReproError(f"invalid scenario spec: {error}") from None
 
 
-def _run_teams(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec(
-        problem="teams",
-        family=args.family,
-        size=args.size,
-        seed=args.seed,
-        team_size=args.team_size,
-        scheduler=args.scheduler,
-        max_traversals=args.max_traversals,
-    )
-    return _execute_or_dump(spec, args.dump_spec)
-
-
-def _run_tick(args: argparse.Namespace) -> int:
-    problem_params = {}
-    if args.interleaving != "synchronous":
-        problem_params["interleaving"] = args.interleaving
-    if args.patience is not None:
-        if args.interleaving != "lag":
-            raise ReproError("--patience only applies to --interleaving lag")
-        problem_params["interleaving_params"] = {"patience": args.patience}
-    if args.fault_rate:
-        problem_params["fault_rate"] = args.fault_rate
-    if args.crash_window is not None:
-        problem_params["crash_window"] = args.crash_window
-    if args.drop_rate:
-        problem_params["drop_rate"] = args.drop_rate
-    if args.max_ticks != 1000:
-        problem_params["max_ticks"] = args.max_ticks
-    if args.no_ticks:
-        problem_params["record_ticks"] = False
-    spec = ScenarioSpec(
-        problem=args.problem,
-        family=args.family,
-        size=args.size,
-        seed=args.seed,
-        team_size=args.team_size,
-        problem_params=problem_params,
-    )
+def _run_scenario(args: argparse.Namespace) -> int:
+    spec = _scenario_from_args(args)
     if args.dump_spec is not None:
         Path(args.dump_spec).write_text(spec.to_json() + "\n", encoding="utf-8")
         print(f"wrote scenario spec to {args.dump_spec}")
         return 0
-    record = run(spec)
-    if args.json:
-        print(record.to_json())
-    else:
-        _print_record(record)
-    return 0 if record.ok else 1
-
-
-def _run_spec_file(args: argparse.Namespace) -> int:
-    spec = ScenarioSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
     record = run(spec, trace=args.trace or args.profile)
     if args.json:
         print(record.to_json())
@@ -1015,8 +850,10 @@ def _run_spec_file(args: argparse.Namespace) -> int:
         _print_record(record)
         print(f"ok: {record.ok}")
     if args.profile:
-        print()
-        print(format_profile(record.extra_dict["trace"]))
+        # With --json, stdout carries exactly one JSON document.
+        stream = sys.stderr if args.json else sys.stdout
+        print(file=stream)
+        print(format_profile(record.extra_dict["trace"]), file=stream)
     return 0 if record.ok else 1
 
 
@@ -1532,11 +1369,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
-        "rendezvous": _run_rendezvous,
-        "esst": _run_esst,
-        "teams": _run_teams,
-        "tick": _run_tick,
-        "run": _run_spec_file,
+        "run": _run_scenario,
         "sweep": _run_sweep,
         "worker": _run_worker,
         "queue": _run_queue,

@@ -25,6 +25,7 @@ happens in the module that defines the component (``graphs/families.py``,
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from ..exceptions import RegistryError
@@ -89,8 +90,24 @@ class Registry:
             ) from None
 
     def create(self, name: str, *args: Any, **kwargs: Any) -> Any:
-        """Instantiate the entry registered under ``name``."""
-        return self.resolve(name)(*args, **kwargs)
+        """Instantiate the entry registered under ``name``.
+
+        Arguments the factory's signature cannot take raise
+        :class:`~repro.exceptions.RegistryError` naming the entry; a
+        ``TypeError`` raised from inside a factory propagates unchanged.
+        """
+        factory = self.resolve(name)
+        try:
+            return factory(*args, **kwargs)
+        except TypeError:
+            # Only on the failure path: tell a bad parameter from a bug.
+            try:
+                inspect.signature(factory).bind(*args, **kwargs)
+            except TypeError as error:
+                raise RegistryError(
+                    f"bad parameters for {self.kind} {name!r}: {error}"
+                ) from None
+            raise
 
     def names(self) -> Tuple[str, ...]:
         """All registered names, in registration order."""

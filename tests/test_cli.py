@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import ScenarioSpec
 
 
 class TestParser:
@@ -14,13 +15,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_rendezvous_defaults(self):
-        args = build_parser().parse_args(["rendezvous"])
-        assert args.family == "ring"
-        assert args.size == 6
-        assert tuple(args.labels) == (6, 11)
-        assert args.scheduler == "round_robin"
-        assert not args.baseline
+    def test_rendezvous_defaults(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        assert main(["run", "rendezvous", "--set", "labels=[6,11]", "--dump-spec", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote scenario spec to {path}\n"
+        spec = ScenarioSpec.from_json(path.read_text(encoding="utf-8"))
+        assert spec.family == "ring"
+        assert spec.size == 6
+        assert spec.labels == (6, 11)
+        assert spec.scheduler == "round_robin"
+        assert spec.problem == "rendezvous"
 
     def test_experiment_flags(self):
         args = build_parser().parse_args(["experiment", "e3", "F1", "--format", "csv"])
@@ -37,7 +41,10 @@ class TestParser:
 
 class TestCommands:
     def test_rendezvous_command_meets(self, capsys):
-        code = main(["rendezvous", "--family", "ring", "--size", "6", "--labels", "5", "12"])
+        code = main(
+            ["run", "rendezvous", "--set", "family=ring", "--set", "size=6",
+             "--set", "labels=[5,12]"]
+        )
         captured = capsys.readouterr()
         assert code == 0
         assert "RV-asynch-poly" in captured.out
@@ -45,14 +52,15 @@ class TestCommands:
 
     def test_rendezvous_baseline_flag(self, capsys):
         code = main(
-            ["rendezvous", "--family", "ring", "--size", "5", "--labels", "1", "2", "--baseline"]
+            ["run", "baseline", "--set", "family=ring", "--set", "size=5",
+             "--set", "labels=[1,2]"]
         )
         captured = capsys.readouterr()
         assert code == 0
         assert "baseline" in captured.out
 
     def test_esst_command(self, capsys):
-        code = main(["esst", "--family", "ring", "--size", "4"])
+        code = main(["run", "esst", "--set", "family=ring", "--set", "size=4"])
         captured = capsys.readouterr()
         assert code == 0
         assert "all edges traversed: True" in captured.out
@@ -115,13 +123,99 @@ class TestCommands:
     @pytest.mark.sgl
     def test_teams_command(self, capsys):
         code = main(
-            ["teams", "--family", "ring", "--size", "4", "--team-size", "2",
-             "--max-traversals", "4000000"]
+            ["run", "teams", "--set", "family=ring", "--set", "size=4",
+             "--set", "team_size=2", "--set", "max_traversals=4000000"]
         )
         captured = capsys.readouterr()
         assert code == 0
         assert "outputs correct: True" in captured.out
         assert "leader" in captured.out
+
+    def test_tick_leader_prints_the_consensus_lines(self, capsys):
+        code = main(
+            ["run", "tick_leader", "--set", "size=8",
+             "--set", 'problem_params={"interleaving": "random", "fault_rate": 0.25, '
+             '"crash_window": 8}']
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "graph: ring(8) (8 nodes, 8 edges)",
+            "interleaving: random; fault_rate=0.25 drop_rate=0.0",
+            "stopped: done after 6 ticks (48 activations)",
+            "messages: 48 sent, 0 dropped; moves: 0",
+            "consensus: True (leaders: 1, agreed: True, leader label: 17)",
+            "tick snapshots: 6 recorded",
+            "ok: True",
+        ]
+
+    @pytest.mark.parametrize("problem", ["bounds", "figures"])
+    def test_kinds_without_a_printer_get_the_generic_one(self, tmp_path, capsys, problem):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"problem": problem, "labels": [5]}), encoding="utf-8")
+        assert main(["run", "--spec", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"problem: {problem}"
+        assert lines[1].startswith(f"result: reason={problem}, cost=")
+        assert lines[2] == "ok: True"
+        assert not any(line.startswith(("graph:", "algorithm:")) for line in lines)
+
+
+class TestRunSet:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "rendezvous", "--set", "bogus=1"], "unknown ScenarioSpec fields"),
+            (["run", "rendezvous", "--set", "size"], "--set expects FIELD=VALUE"),
+            (["run", "rendezvous", "--spec", "x.json"], "exactly one of PROBLEM or --spec"),
+            (["run"], "exactly one of PROBLEM or --spec"),
+            (["run", "rendezvous", "--set", "size=abc"], "invalid scenario spec"),
+            (
+                ["run", "tick_leader", "--set",
+                 'problem_params={"interleaving": "random", '
+                 '"interleaving_params": {"patience": 5}}'],
+                "bad parameters for interleaver 'random'",
+            ),
+        ],
+    )
+    def test_bad_runs_exit_2_with_one_error_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+    def test_values_parse_as_json_else_as_strings(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        argv = ["run", "esst", "--set", "family=path", "--set", "token_edge=[2,1]",
+                "--set", "token_fraction=1/3", "--set", 'problem_params={"k": 2}',
+                "--dump-spec", str(path)]
+        assert main(argv) == 0
+        spec = ScenarioSpec.from_json(path.read_text(encoding="utf-8"))
+        assert spec == ScenarioSpec(
+            problem="esst", family="path", token_edge=(1, 2), token_fraction="1/3",
+            problem_params={"k": 2},
+        )
+
+    def test_set_overrides_a_field_of_the_loaded_spec(self, tmp_path, capsys):
+        source = tmp_path / "in.json"
+        source.write_text(
+            ScenarioSpec(problem="rendezvous", size=8, labels=(6, 11)).to_json(),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.json"
+        argv = ["run", "--spec", str(source), "--set", "size=4", "--dump-spec", str(out)]
+        assert main(argv) == 0
+        spec = ScenarioSpec.from_json(out.read_text(encoding="utf-8"))
+        assert spec == ScenarioSpec(problem="rendezvous", size=4, labels=(6, 11))
+        assert main(["run", "--spec", str(source), "--set", "size=4"]) == 0
+        assert "graph: ring(4)" in capsys.readouterr().out
+
+    def test_dump_spec_refuses_an_invalid_spec(self, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        argv = ["run", "rendezvous", "--set", "size=0", "--dump-spec", str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: graph size must be positive, got 0\n"
+        assert not path.exists()
 
 
 class TestObservabilityCli:
@@ -173,6 +267,14 @@ class TestObservabilityCli:
         trace = record["extra"]["trace"]
         assert trace["schema"] == 1 and "engine.run" in trace["spans"]
 
+    def test_run_json_profile_keeps_stdout_one_json_document(self, spec_file, capsys):
+        assert main(["run", "--spec", spec_file, "--json", "--profile"]) == 0
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert "engine.run" in record["extra"]["trace"]["spans"]
+        assert "% of run" in captured.err and "engine coverage:" in captured.err
+        assert "% of run" not in captured.out
+
     def test_run_without_trace_has_no_trace_key(self, spec_file, capsys):
         assert main(["run", "--spec", spec_file, "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
@@ -186,7 +288,7 @@ class TestObservabilityCli:
         assert payload["repro_sweep_cells_total"]["status=executed"] == 1
 
     def test_metrics_dump_prom_format(self, capsys):
-        assert main(["metrics", "dump", "--format", "prom", "rendezvous", "--size", "4"]) == 0
+        assert main(["metrics", "dump", "--format", "prom", "run", "rendezvous", "--set", "size=4"]) == 0
         out = capsys.readouterr().out
         assert "# TYPE repro_runs_total counter" in out
         assert 'repro_runs_total{problem="rendezvous"} 1' in out

@@ -5,7 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import RegistryError, ReproError
-from repro.runtime import COST_MODELS, GRAPH_FAMILIES, PROBLEMS, SCHEDULERS, Registry
+from repro.runtime import (
+    COST_MODELS,
+    GRAPH_FAMILIES,
+    INTERLEAVERS,
+    PROBLEMS,
+    SCHEDULERS,
+    Registry,
+)
 from repro.runtime import runner as _runner  # noqa: F401  (populates the registries)
 
 
@@ -39,6 +46,19 @@ class TestRegistry:
         assert "gadget" in str(excinfo.value)
         with pytest.raises(RegistryError):
             registry.create("nope")
+
+    def test_parameters_the_factory_cannot_take_name_the_entry(self):
+        registry = Registry("gadget")
+        registry.register("double", lambda value: 2 * value)
+        with pytest.raises(RegistryError, match="gadget 'double'.*'factor'"):
+            registry.create("double", 1, factor=3)
+
+    def test_type_errors_from_inside_a_factory_propagate_unchanged(self):
+        registry = Registry("gadget")
+        registry.register("broken", lambda value: value + "x")
+        with pytest.raises(TypeError) as excinfo:
+            registry.create("broken", 1)
+        assert not isinstance(excinfo.value, RegistryError)
 
     def test_registry_errors_are_repro_errors(self):
         assert issubclass(RegistryError, ReproError)
@@ -76,6 +96,13 @@ class TestGlobalRegistries:
     def test_scheduler_factories_ignore_foreign_params(self):
         # One parameter bag serves every adversary; unused keys are ignored.
         assert SCHEDULERS.create("round_robin", seed=3, patience=9, starved="x") is not None
+
+    def test_interleaver_rejects_a_foreign_parameter(self):
+        from repro.ticksim import interleavers as _interleavers  # noqa: F401
+
+        with pytest.raises(RegistryError, match="interleaver 'random'.*'patience'"):
+            INTERLEAVERS.create("random", seed=0, patience=5)
+        assert INTERLEAVERS.create("lag", seed=0, patience=5) is not None
 
     def test_problems_registered(self):
         assert sorted(PROBLEMS) == [
