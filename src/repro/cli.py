@@ -876,6 +876,8 @@ def _sweep_from_args(args: argparse.Namespace) -> SweepSpec:
     """Build the SweepSpec the shared grid flags describe (or load --spec)."""
     if args.spec is not None:
         return SweepSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
+    if args.seeds < 1:
+        raise ReproError(f"--seeds must be at least 1, got {args.seeds}")
     return SweepSpec(
         problems=(args.problem,),
         families=tuple(args.family),
@@ -970,11 +972,12 @@ def _run_worker(args: argparse.Namespace) -> int:
 
 def _run_queue(args: argparse.Namespace) -> int:
     if args.queue_command == "dispatch":
+        sweep = _sweep_from_args(args)
         queue = WorkQueue(args.queue, create=True)
         store = None if args.store is None else FileStore(args.store, create=False)
         try:
             report = Dispatcher(queue, unit_size=args.unit_size).dispatch(
-                _sweep_from_args(args), store=store
+                sweep, store=store
             )
         finally:
             if store is not None:

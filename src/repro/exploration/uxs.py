@@ -71,10 +71,6 @@ class UXSProvider:
         """Return the full sequence of increments for parameter ``k``."""
         raise NotImplementedError
 
-    def iter_terms(self, k: int) -> Iterator[int]:
-        """Iterate over the increments for parameter ``k`` (lazily if possible)."""
-        return iter(self.terms(k))
-
 
 def _splitmix64(state: int) -> Tuple[int, int]:
     """Advance a splitmix64 state; return ``(new_state, output)``."""

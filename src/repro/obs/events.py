@@ -49,7 +49,6 @@ import hashlib
 import json
 import os
 import re
-import socket
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
@@ -589,8 +588,3 @@ def format_event(event: Mapping[str, Any]) -> str:
         if value is not None:
             parts.append(f"{field}={value}")
     return "  ".join(parts)
-
-
-def default_host() -> str:
-    """Short hostname, the same shape worker ids embed."""
-    return socket.gethostname().split(".", 1)[0] or "host"

@@ -294,12 +294,6 @@ class MetricsRegistry:
                     lines.append(f"{name}{_format_labels(labels)} {_format_value(value)}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def reset(self) -> None:
-        """Drop every instrument (tests; a fresh process starts empty anyway)."""
-        with self._lock:
-            self._instruments.clear()
-            self._order.clear()
-
 
 class _NullInstrument:
     """The shared no-op instrument every disabled registry hands out."""

@@ -3,20 +3,24 @@
 The table attributes wall time across the named spans of a trace, relative
 to a *root* span (``run`` — the whole scenario — by default, or
 ``engine.run`` with ``root="engine.run"`` to profile just the engine loop).
-Spans nest: ``engine.run`` contains ``scheduler.decide`` / ``engine.apply``
-/ ``engine.check_termination``, so percentages of non-root spans may sum
-near 100% *within* their parent while the parent itself also appears.
+Spans nest: ``engine.run`` contains ``engine.bootstrap`` and either the
+fused loop's single ``engine.fused_loop`` span or the generic loop's
+``scheduler.decide`` / ``engine.apply`` / ``engine.check_termination``, so
+percentages of non-root spans may sum near 100% *within* their parent while
+the parent itself also appears.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["format_profile", "engine_coverage", "apply_breakdown", "loop_note"]
+__all__ = ["format_profile", "engine_coverage", "apply_breakdown"]
 
-#: Spans that partition the engine loop (children of ``engine.run``).
+#: Spans that partition the engine loop (children of ``engine.run``): the
+#: bootstrap, then the fused loop as one span or the generic loop's phases.
 ENGINE_CHILD_SPANS = (
     "engine.bootstrap",
+    "engine.fused_loop",
     "scheduler.decide",
     "engine.apply",
     "engine.check_termination",
@@ -75,35 +79,10 @@ def apply_breakdown(trace: Mapping[str, Any]) -> Optional[Dict[str, float]]:
     }
 
 
-def loop_note(trace: Mapping[str, Any]) -> Optional[str]:
-    """One line naming the engine loop a traced run measured.
-
-    A traced run always drives the generic decision loop; the untraced run
-    of the same spec may take the fused loop instead.  The engine counts the
-    runs whose untraced twin would (``engine.fused_when_untraced``, decided by
-    the predicate ``AsyncEngine.run`` dispatches on), so the line can say
-    which loop production runs take.  ``None`` for a trace without an engine
-    run.
-    """
-    runs = int(_spans_of(trace).get("engine.run", {}).get("count", 0))
-    if not runs:
-        return None
-    fused = int(trace.get("counters", {}).get("engine.fused_when_untraced", 0))
-    if fused == runs:
-        untraced = "takes the fused loop"
-    elif fused == 0:
-        untraced = "takes the generic loop too"
-    else:
-        untraced = f"takes the fused loop in {fused} of {runs} engine runs"
-    return f"engine loop measured: generic (traced); the untraced run {untraced}"
-
-
 def format_profile(trace: Mapping[str, Any], root: str = "run") -> str:
     """Aligned profile table: span, calls, seconds, % of the root span.
 
     Spans are sorted by accumulated seconds, descending; the root span leads.
-    For engine runs, the first line under the table names the loop measured
-    (:func:`loop_note`).
     A counters section follows with the deterministic tallies (decisions,
     agents scanned, ``Fraction`` ops), since a profile without the work
     counts behind the times only tells half the story.
@@ -138,16 +117,12 @@ def format_profile(trace: Mapping[str, Any], root: str = "run") -> str:
     ]
     for row in rows:
         lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)))
-    loop = loop_note(trace)
     coverage = engine_coverage(trace)
-    if loop is not None or coverage is not None:
-        lines.append("")
-    if loop is not None:
-        lines.append(loop)
     if coverage is not None:
+        lines.append("")
         lines.append(
             f"engine coverage: {100.0 * coverage:.1f}% of engine.run attributed "
-            f"to {', '.join(ENGINE_CHILD_SPANS)}"
+            f"to {', '.join(name for name in ENGINE_CHILD_SPANS if name in spans)}"
         )
     breakdown = apply_breakdown(trace)
     if breakdown is not None and breakdown["total"] > 0:

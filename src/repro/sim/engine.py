@@ -45,7 +45,7 @@ from ..exceptions import (
     SimulationError,
 )
 from ..graphs.port_graph import PortLabeledGraph
-from ..obs.trace import current_tracer
+from ..obs.trace import Tracer, current_tracer
 from .actions import AgentSnapshot, MeetingEvent, Move, Observation, Stop
 from .agent import AgentController
 from .neighbor_index import NeighborIndex
@@ -71,12 +71,12 @@ _COMPLETE_TRAVERSAL_SCHEDULERS = (RoundRobinScheduler, RandomScheduler, LazySche
 
 
 def takes_fused_loop(scheduler: Scheduler, agent_names: Iterable[str]) -> bool:
-    """Whether an untraced run under ``scheduler`` takes the fused loop.
+    """Whether a run under ``scheduler`` takes the fused loop, traced or not.
 
     True for a plain round-robin (its order, if fixed, covers exactly the
     agents), random or lazy adversary without a wake schedule: every decision
     it makes is a complete traversal.  Subclasses, the meeting-avoiding
-    adversary, wake schedules and traced runs use the generic decision loop.
+    adversary and wake schedules use the generic decision loop.
     """
     kind = type(scheduler)
     if kind not in _COMPLETE_TRAVERSAL_SCHEDULERS or scheduler._wake_schedule:
@@ -164,10 +164,6 @@ class _PendingTraversal:
         if self.p_num == 0:
             return _ZERO
         return Fraction(self.p_num, self.p_den)
-
-    def canonical_fraction(self, progress: Fraction) -> Fraction:
-        """Convert traversal progress into the edge's canonical fraction."""
-        return progress if self.forward else 1 - progress
 
 
 class _AgentState:
@@ -415,15 +411,44 @@ class AsyncEngine:
         return self._index
 
     def run(self) -> RunResult:
-        """Run the simulation to completion and return the result."""
-        if self._tracer is not None:
-            return self._run_traced(self._tracer)
+        """Run the simulation to completion and return the result.
+
+        :func:`takes_fused_loop` alone picks the loop; a tracer never changes
+        which code runs, it only adds the ``engine.run`` span, the closing
+        counters and the loop's own spans and meeting events.
+        """
         if takes_fused_loop(self._scheduler, self._agents):
-            return self._run_complete_traversals(self._scheduler)
-        self._bootstrap()
+            loop = self._run_complete_traversals
+        else:
+            loop = self._run_decisions
+        tracer = self._tracer
+        if tracer is None:
+            self._bootstrap()
+            return loop(None)
+        run_started = tracer.clock()
+        try:
+            self._bootstrap()
+            tracer.add_span("engine.bootstrap", run_started)
+            return loop(tracer)
+        finally:
+            tracer.add_span("engine.run", run_started)
+            tracer.count("engine.decisions", self._decisions)
+            tracer.count("engine.traversals", self.total_traversals)
+            tracer.count("engine.meetings", len(self._meetings))
+            tracer.count("engine.index_updates", self._index.updates)
+            tracer.count("engine.lattice_rescales", self._index.rescales())
+
+    def _run_decisions(self, tracer: Optional[Tracer]) -> RunResult:
+        # The generic loop: any adversary, one scheduler decision at a time.
+        # Traced, every phase of every iteration gets its own span.
         view = EngineView(self)
         while not self._done:
-            self._check_passive_termination()
+            if tracer is None:
+                self._check_passive_termination()
+            else:
+                t0 = tracer.clock()
+                self._check_passive_termination()
+                tracer.add_span("engine.check_termination", t0)
             if self._done:
                 break
             if self._decisions >= self._max_decisions:
@@ -431,15 +456,25 @@ class AsyncEngine:
                     f"scheduler exceeded the decision budget ({self._max_decisions}); "
                     "it is probably making unbounded zero-progress decisions"
                 )
-            decision = self._scheduler.decide(view)
+            if tracer is None:
+                decision = self._scheduler.decide(view)
+            else:
+                t0 = tracer.clock()
+                decision = self._scheduler.decide(view)
+                tracer.add_span("scheduler.decide", t0)
             self._decisions += 1
             if decision is None:
                 self._finish(StopReason.SCHEDULER_EXHAUSTED)
                 break
-            self._apply(decision)
+            if tracer is None:
+                self._apply(decision)
+            else:
+                t0 = tracer.clock()
+                self._apply(decision)
+                tracer.add_span("engine.apply", t0)
         return self._build_result()
 
-    def _run_complete_traversals(self, scheduler: Scheduler) -> RunResult:
+    def _run_complete_traversals(self, tracer: Optional[Tracer]) -> RunResult:
         # Specialised main loop for the adversaries whose every decision is a
         # *complete* traversal (see :func:`takes_fused_loop`).  No agent is
         # ever strictly inside an edge: the lattice frames stay empty, the
@@ -451,8 +486,10 @@ class AsyncEngine:
         # (round-robin and lazy cursors, the lazy release flag, the random
         # generator) exactly where ``choose`` would have left it.  That is
         # what keeps every record byte-identical (the golden equivalence
-        # suite pins this against the fixtures).
-        self._bootstrap()
+        # suite pins this against the fixtures).  Traced, the loop takes a
+        # timestamp only on entry and exit (``engine.fused_loop``) and emits
+        # the meeting events ``_emit_meeting`` would.
+        scheduler = self._scheduler
         agents = self._agents
         kind = type(scheduler)
         round_robin = kind is RoundRobinScheduler
@@ -511,6 +548,8 @@ class AsyncEngine:
         decisions = self._decisions
         total_traversals = self.total_traversals
         index_updates = index.updates
+        if tracer is not None:
+            loop_started = tracer.clock()
         try:
             while not self._done:
                 if self._stopped == n:
@@ -651,6 +690,15 @@ class AsyncEngine:
                             total_traversals=total_traversals,
                         )
                         meetings_append(event)
+                        if tracer is not None:
+                            tracer.event(
+                                "meeting",
+                                participants=[state.name] + meet,
+                                node=to_node,
+                                edge=None,
+                                decision=decisions,
+                                total_traversals=total_traversals,
+                            )
                         for st in pstates:
                             st.controller.on_meeting(event)
                         if check_output:
@@ -767,53 +815,9 @@ class AsyncEngine:
                     occ.add(st.name)
                 where[st.name] = node
             index.updates = index_updates
+            if tracer is not None:
+                tracer.add_span("engine.fused_loop", loop_started)
         return self._build_result()
-
-    def _run_traced(self, tracer) -> RunResult:
-        # Mirror of the loop above with span boundaries around the three
-        # phases of every iteration.  Kept separate so the untraced path pays
-        # nothing — not even a ``clock()`` call — per decision.
-        clock = tracer.clock
-        run_started = clock()
-        try:
-            if takes_fused_loop(self._scheduler, self._agents):
-                # The loop measured here is the generic one; record that the
-                # untraced twin would have taken the fused loop instead.
-                tracer.count("engine.fused_when_untraced")
-            t0 = clock()
-            self._bootstrap()
-            tracer.add_span("engine.bootstrap", t0)
-            view = EngineView(self)
-            while not self._done:
-                t0 = clock()
-                self._check_passive_termination()
-                tracer.add_span("engine.check_termination", t0)
-                if self._done:
-                    break
-                if self._decisions >= self._max_decisions:
-                    raise SimulationError(
-                        f"scheduler exceeded the decision budget "
-                        f"({self._max_decisions}); it is probably making "
-                        "unbounded zero-progress decisions"
-                    )
-                t0 = clock()
-                decision = self._scheduler.decide(view)
-                tracer.add_span("scheduler.decide", t0)
-                self._decisions += 1
-                if decision is None:
-                    self._finish(StopReason.SCHEDULER_EXHAUSTED)
-                    break
-                t0 = clock()
-                self._apply(decision)
-                tracer.add_span("engine.apply", t0)
-            return self._build_result()
-        finally:
-            tracer.add_span("engine.run", run_started)
-            tracer.count("engine.decisions", self._decisions)
-            tracer.count("engine.traversals", self.total_traversals)
-            tracer.count("engine.meetings", len(self._meetings))
-            tracer.count("engine.index_updates", self._index.updates)
-            tracer.count("engine.lattice_rescales", self._index.rescales())
 
     # ------------------------------------------------------------------
     # bootstrapping

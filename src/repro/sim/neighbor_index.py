@@ -34,7 +34,7 @@ lattice-op tally, reported next to the comparison counts in traces.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Set
 
 from ..graphs.port_graph import EdgeKey
 from .lattice import EdgeFrame
@@ -114,20 +114,9 @@ class NeighborIndex:
     # ------------------------------------------------------------------
     # queries (simulator/tooling side; the engine reads the maps directly)
     # ------------------------------------------------------------------
-    def frame_of(self, edge: EdgeKey) -> Optional[EdgeFrame]:
-        """The edge's frame, or ``None`` when its interior is empty."""
-        return self.frames.get(edge)
-
     def at_node(self, node: int) -> frozenset:
         """Names of the agents standing at ``node``."""
         return frozenset(self.node_occupants.get(node, ()))
-
-    def location_of(self, name: str) -> Optional[Tuple[str, object]]:
-        """``("node", id)`` or ``("edge", key)`` for a placed agent."""
-        where = self._where.get(name)
-        if where is None:
-            return None
-        return ("edge" if where.__class__ is tuple else "node", where)
 
     def rescales(self) -> int:
         """Total lattice rescales, including frames already dropped."""

@@ -406,13 +406,6 @@ class FileStore(ResultStore):
         refreshes.inc(changed="true" if changed else "false")
         return changed
 
-    def _iter_shard_lines(self, shard: str):
-        path = self._shard_path(shard)
-        if not path.exists():
-            return
-        body, _truncated = _split_lines(path.read_text(encoding="utf-8"))
-        yield from body
-
     # ------------------------------------------------------------------
     # shard parsing
     # ------------------------------------------------------------------

@@ -17,14 +17,24 @@ Two comparison granularities:
   (decision/traversal/meeting tallies — NOT the scan-cost counters, which the
   refactor intentionally changes), and the call counts of the stable spans
   (span *seconds* are wall-clock noise and never comparable).
+
+The traced projections are those of the generic decision loop: its
+per-decision spans and counters are what they pin.  A traced run under a
+complete-traversal adversary takes the fused loop, which records the same
+events and decision/traversal/meeting counters but no per-decision spans, so
+the generator records (and the suite replays) the traced runs inside
+:func:`generic_loop`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
+from unittest import mock
 
+import repro.sim.engine
 from repro.runtime.spec import ScenarioSpec
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "engine_records.json"
@@ -133,6 +143,20 @@ def scenarios() -> List[Tuple[str, ScenarioSpec]]:
     return specs
 
 
+@contextlib.contextmanager
+def generic_loop() -> Iterator[None]:
+    """Every engine run inside the block takes the generic decision loop.
+
+    ``AsyncEngine.run`` picks its loop with ``takes_fused_loop`` alone, so
+    patching that predicate is the one way to force the generic loop under an
+    adversary the fused loop replays.
+    """
+    with mock.patch.object(
+        repro.sim.engine, "takes_fused_loop", lambda scheduler, names: False
+    ):
+        yield
+
+
 def canonical(payload: Any) -> str:
     """Canonical JSON — the byte-identity yardstick for record payloads."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -174,7 +198,9 @@ def build_fixture() -> Dict[str, Any]:
     entries: Dict[str, Any] = {}
     for name, spec in scenarios():
         untraced = run(spec).to_dict()
-        traced_record, projection = split_traced(run(spec, trace=True).to_dict())
+        with generic_loop():
+            traced = run(spec, trace=True).to_dict()
+        traced_record, projection = split_traced(traced)
         entries[name] = {
             "spec": spec.to_dict(),
             "untraced": untraced,

@@ -59,6 +59,20 @@ class TestCommands:
         assert code == 0
         assert "baseline" in captured.out
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["sweep", "queue-dispatch"])
+    def test_grid_without_seeds_exits_2(self, tmp_path, capsys, command, seeds):
+        queue = tmp_path / "q"
+        argv = {
+            "sweep": ["sweep", "--quiet"],
+            "queue-dispatch": ["queue", "dispatch", "--queue", str(queue)],
+        }[command]
+        assert main(argv + ["--seeds", seeds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --seeds must be at least 1, got {seeds}\n"
+        assert not queue.exists()
+
     def test_esst_command(self, capsys):
         code = main(["run", "esst", "--set", "family=ring", "--set", "size=4"])
         captured = capsys.readouterr()
@@ -237,12 +251,18 @@ class TestObservabilityCli:
         assert "engine coverage:" in out and "counters:" in out
 
     @pytest.mark.parametrize(
-        "scheduler, untraced",
-        [("random", "takes the fused loop"), ("avoider", "takes the generic loop too")],
+        "scheduler, measured, absent",
+        [
+            ("random", "engine.fused_loop", "scheduler.decide"),
+            ("avoider", "scheduler.decide", "engine.fused_loop"),
+        ],
+        ids=["random", "avoider"],
     )
     def test_run_profile_names_the_loop_it_measured(
-        self, tmp_path, capsys, scheduler, untraced
+        self, tmp_path, capsys, scheduler, measured, absent
     ):
+        # A traced run takes the loop its untraced twin takes: the fused loop
+        # under ``random``, the generic one under the meeting-avoiding adversary.
         path = tmp_path / "scenario.json"
         path.write_text(
             json.dumps(
@@ -253,13 +273,12 @@ class TestObservabilityCli:
         )
         assert main(["run", "--spec", str(path), "--profile"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        note = [line for line in lines if line.startswith("engine loop measured:")]
-        assert note == [
-            f"engine loop measured: generic (traced); the untraced run {untraced}"
-        ]
-        # The note heads the footer under the span table.
-        at = lines.index(note[0])
-        assert lines[at - 1] == "" and lines[at + 1].startswith("engine coverage:")
+        header = next(at for at, line in enumerate(lines) if line.startswith("span "))
+        end = lines.index("", header)
+        spans = {line.split()[0] for line in lines[header + 2:end]}
+        assert {"engine.run", "engine.bootstrap", measured} <= spans
+        assert absent not in spans
+        assert lines[end + 1].startswith("engine coverage:")
 
     def test_run_trace_attaches_the_payload_to_the_json(self, spec_file, capsys):
         assert main(["run", "--spec", spec_file, "--trace", "--json"]) == 0
@@ -352,7 +371,9 @@ class TestServeCli:
 
         with FileStore(tmp_path / "store") as store:
             server = make_server(ResultService(store), port=0)
-            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread = threading.Thread(
+                target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+            )
             thread.start()
             host, port = server.server_address[:2]
             try:

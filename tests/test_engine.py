@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import weakref
 from fractions import Fraction
@@ -11,7 +12,6 @@ import pytest
 
 from repro.exceptions import CostLimitExceeded, ProtocolError, SimulationError
 from repro.graphs import families
-from repro.obs.trace import Tracer, use_tracer
 from repro.sim import (
     AgentSpec,
     AsyncEngine,
@@ -67,8 +67,8 @@ class TestBasicExecution:
         assert result.traversals_by_agent == {"w": 3}
         assert not result.met
 
-    @pytest.mark.parametrize("traced", [False, True], ids=["fused", "generic"])
-    def test_move_subclass_moves_from_the_node_reached(self, traced):
+    @pytest.mark.parametrize("generic", [False, True], ids=["fused", "generic"])
+    def test_move_subclass_moves_from_the_node_reached(self, generic, generic_loop):
         # Both loops hand a Move subclass to the generic action handler,
         # which must see the node the traversal just reached.
         class Hop(Move):
@@ -81,13 +81,13 @@ class TestBasicExecution:
 
             return program(obs)
 
-        with use_tracer(Tracer() if traced else None):
-            engine = AsyncEngine(
-                families.path(5),
-                [AgentSpec(FunctionController("a", factory, label=1), 0)],
-                RoundRobinScheduler(),
-            )
-        result = engine.run()
+        engine = AsyncEngine(
+            families.path(5),
+            [AgentSpec(FunctionController("a", factory, label=1), 0)],
+            RoundRobinScheduler(),
+        )
+        with generic_loop() if generic else contextlib.nullcontext():
+            result = engine.run()
         assert result.reason == StopReason.ALL_STOPPED
         assert result.total_traversals == 4
         assert engine.view.agent_position("a").node == 4

@@ -234,11 +234,22 @@ class TestTracedRuns:
         assert stripped == plain_record.extra
         assert run(TEAMS_SPEC).to_json() == plain_record.to_json()
 
-    def test_trace_is_deterministic_for_a_fixed_spec(self, traced_record, traced_again):
+    def test_trace_is_deterministic_for_a_fixed_spec(
+        self, traced_record, traced_again, generic_loop
+    ):
         first = traced_record.extra_dict["trace"]
         second = traced_again.extra_dict["trace"]
         assert deterministic_view(first) == deterministic_view(second)
         assert first["counters"]["engine.decisions"] > 0
+        # The generic loop also tallies the lattice operations of its sweeps.
+        spec = ScenarioSpec(
+            problem="rendezvous", family="ring", size=6, seed=8, labels=(2, 9),
+            starts=(1, 4),
+        )
+        with generic_loop():
+            first, second = (run(spec, trace=True).extra_dict["trace"] for _ in range(2))
+        assert deterministic_view(first) == deterministic_view(second)
+        assert "scheduler.decide" in first["spans"]
         assert first["counters"]["engine.fraction_ops"] > 0
 
     def test_trace_round_trips_through_record_json(self, traced_record):
@@ -267,7 +278,9 @@ class TestServeRegistry:
     def test_concurrent_requests_count_exactly(self):
         service = ResultService(MemoryStore())
         server = make_server(service, port=0)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
         thread.start()
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"

@@ -57,7 +57,9 @@ def live(tiny, tmp_path):
     run_sweep(TINY_SWEEP, store=store)
     service = ResultService(store, queue=str(tmp_path / "q"))
     server = make_server(service, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     yield service, server.server_address[:2]
     server.shutdown()
