@@ -21,23 +21,25 @@ out without running it::
     repro run --spec scenario.json --set size=4
     repro run rendezvous --set size=8 --dump-spec scenario.json
 
-Sweep a grid of scenarios over two worker processes::
+Sweep a grid of scenarios over two worker processes (``sweep`` starts from
+the default :class:`~repro.runtime.spec.SweepSpec`, one rendezvous cell, or
+from ``--spec FILE``, and sets its fields with ``--set FIELD=VALUE``)::
 
-    repro sweep --family ring --sizes 4 8 12 --schedulers round_robin avoider \
-        --seeds 3 --jobs 2
+    repro sweep --set 'sizes=[4,8,12]' \
+        --set 'schedulers=["round_robin","avoider"]' --set 'seeds=[0,1,2]' --jobs 2
 
 Sweep against the content-addressed result store (the second invocation
 serves every cell from the store and executes nothing; an interrupted sweep
 resumes where it stopped)::
 
-    repro sweep --sizes 4 8 12 --seeds 3 --store .repro-store
-    repro sweep --sizes 4 8 12 --seeds 3 --store .repro-store
+    repro sweep --set 'sizes=[4,8,12]' --set 'seeds=[0,1,2]' --store .repro-store
+    repro sweep --set 'sizes=[4,8,12]' --set 'seeds=[0,1,2]' --store .repro-store
 
 Profile a run (span table attributing the engine's wall time), or dump
 every metric a command produced (``--format prom`` for Prometheus text)::
 
     repro run --spec scenario.json --profile
-    repro metrics dump --format prom sweep --sizes 4 8 --seeds 2
+    repro metrics dump --format prom sweep --set 'sizes=[4,8]' --set 'seeds=[0,1]'
 
 Inspect and maintain a store::
 
@@ -49,9 +51,9 @@ Run a sweep over the distributed work-queue fabric — one shot (spawns 2
 local worker processes), or as the full dispatch/worker/merge lifecycle
 whose pieces may run on different machines::
 
-    repro sweep --sizes 4 8 12 --seeds 3 --jobs 2 --executor queue
+    repro sweep --set 'sizes=[4,8,12]' --set 'seeds=[0,1,2]' --jobs 2 --executor queue
 
-    repro queue dispatch --sizes 4 8 12 --seeds 3 --queue /shared/q
+    repro queue dispatch --set 'sizes=[4,8,12]' --set 'seeds=[0,1,2]' --queue /shared/q
     repro worker --queue /shared/q          # on any machine, any number
     repro queue status --queue /shared/q    # add --json for machines
     repro store merge /shared/q/results/* --into .repro-store
@@ -89,8 +91,9 @@ of fault configurations::
     repro run tick_leader --set size=8 --set 'problem_params={"interleaving": "random"}'
     repro run tick_gathering \
         --set 'problem_params={"fault_rate": 0.25, "crash_window": 20}'
-    repro sweep --problem tick_leader --sizes 4 6 --seeds 5 \
-        --problem-params '{"interleaving": "random", "fault_rate": 0.25}'
+    repro sweep --set 'problems=["tick_leader"]' --set 'sizes=[4,6]' \
+        --set 'seeds=[0,1,2,3,4]' \
+        --set 'problem_param_sets=[{"interleaving": "random", "fault_rate": 0.25}]'
 
 Regenerate experiment tables (spec-driven: every table is a registered
 :class:`~repro.analysis.experiment_spec.ExperimentSpec`; with ``--store``
@@ -134,9 +137,7 @@ from .obs.events import fleet_summary, format_event, format_fleet
 from .obs.metrics import MetricsRegistry, enable_metrics, set_registry
 from .obs.profile import format_profile
 from .runtime import (
-    GRAPH_FAMILIES,
     PROBLEMS,
-    SCHEDULERS,
     RunRecord,
     ScenarioSpec,
     SweepSpec,
@@ -175,18 +176,22 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PROBLEM",
         help=f"problem kind to start from ({', '.join(sorted(PROBLEMS))})",
     )
-    run_cmd.add_argument(
-        "--spec", default=None, metavar="FILE", help="path to a ScenarioSpec JSON to start from"
-    )
-    run_cmd.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        dest="assignments",
-        metavar="FIELD=VALUE",
-        help="set one ScenarioSpec field (repeatable); VALUE is parsed as JSON "
-        "and otherwise taken as a string, e.g. labels=[6,11] scheduler=avoider",
-    )
+    def add_spec_flags(sub: argparse.ArgumentParser, spec_name: str, example: str) -> None:
+        """``--spec FILE`` and repeatable ``--set FIELD=VALUE`` over a spec class."""
+        sub.add_argument(
+            "--spec", default=None, metavar="FILE", help=f"path to a {spec_name} JSON to start from"
+        )
+        sub.add_argument(
+            "--set",
+            action="append",
+            default=[],
+            dest="assignments",
+            metavar="FIELD=VALUE",
+            help=f"set one {spec_name} field (repeatable); VALUE is parsed as JSON "
+            f"and otherwise taken as a string, e.g. {example}",
+        )
+
+    add_spec_flags(run_cmd, "ScenarioSpec", "labels=[6,11] scheduler=avoider")
     run_cmd.add_argument(
         "--dump-spec",
         metavar="FILE",
@@ -209,67 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace the run and print a wall-time profile table (implies --trace)",
     )
 
-    def add_grid(sub: argparse.ArgumentParser) -> None:
-        """The sweep-grid flags (shared by ``sweep`` and ``queue dispatch``)."""
-        sub.add_argument(
-            "--spec", default=None, metavar="FILE", help="path to a SweepSpec JSON (overrides the grid flags)"
-        )
-        sub.add_argument(
-            "--problem",
-            default="rendezvous",
-            choices=sorted(PROBLEMS),
-            help="problem kind run at every grid cell (default: rendezvous)",
-        )
-        sub.add_argument(
-            "--family",
-            nargs="+",
-            default=["ring"],
-            choices=sorted(GRAPH_FAMILIES),
-            help="graph families (default: ring)",
-        )
-        sub.add_argument(
-            "--sizes", type=int, nargs="+", default=[6], help="graph sizes (default: 6)"
-        )
-        sub.add_argument(
-            "--schedulers",
-            nargs="+",
-            default=["round_robin"],
-            choices=sorted(SCHEDULERS),
-            help="adversary strategies (default: round_robin)",
-        )
-        sub.add_argument(
-            "--seeds",
-            type=int,
-            default=1,
-            help="number of seeds: the grid uses seeds 0 .. N-1 (default: 1)",
-        )
-        sub.add_argument(
-            "--labels", type=int, nargs="+", default=None, help="agent labels (default: per-problem)"
-        )
-        sub.add_argument(
-            "--team-size", type=int, default=None, help="team size for --problem teams"
-        )
-        sub.add_argument(
-            "--max-traversals",
-            type=int,
-            default=2_000_000,
-            help="per-cell edge-traversal budget (default: 2,000,000)",
-        )
-        sub.add_argument(
-            "--problem-params",
-            nargs="+",
-            default=None,
-            metavar="JSON",
-            help="problem-parameter sets as JSON objects, one grid dimension "
-            "entry each, e.g. "
-            "'{\"interleaving\": \"random\", \"fault_rate\": 0.25}' "
-            "(default: a single empty set)",
-        )
-
+    sweep_example = "sizes=[4,8] seeds=[0,1,2]"
     sweep = subparsers.add_parser(
-        "sweep", help="run a grid of scenarios (sizes x schedulers x seeds x ...)"
+        "sweep",
+        help="run a grid of scenarios: SweepSpec() or a SweepSpec JSON file, "
+        "with --set overrides",
     )
-    add_grid(sweep)
+    add_spec_flags(sweep, "SweepSpec", sweep_example)
     sweep.add_argument(
         "--jobs",
         type=int,
@@ -376,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     dispatch = queue_sub.add_parser(
         "dispatch", help="partition a sweep into leaseable work units"
     )
-    add_grid(dispatch)
+    add_spec_flags(dispatch, "SweepSpec", sweep_example)
     dispatch.add_argument(
         "--queue", required=True, metavar="DIR", help="the work-queue directory (created if missing)"
     )
@@ -606,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs=argparse.REMAINDER,
         metavar="COMMAND",
         help="repro command line to run instrumented, e.g. "
-        "'repro metrics dump sweep --sizes 4 8'; omit to dump an empty registry",
+        "'repro metrics dump sweep --set sizes=[4,8]'; omit to dump an empty registry",
     )
 
     store_cmd = subparsers.add_parser(
@@ -822,19 +773,27 @@ def _parse_assignment(token: str) -> Tuple[str, Any]:
         return field, text
 
 
+def _spec_from_args(args: argparse.Namespace, default: Any, noun: str) -> Any:
+    """Load ``--spec FILE`` (else take ``default``), apply ``--set``, validate.
+
+    Generic over the spec class: ``run`` builds a ScenarioSpec, ``sweep``
+    and ``queue dispatch`` a SweepSpec, each from the class of ``default``.
+    """
+    spec_class = type(default)
+    changes = dict(_parse_assignment(token) for token in args.assignments)
+    try:
+        if args.spec is not None:
+            default = spec_class.from_json(Path(args.spec).read_text(encoding="utf-8"))
+        return spec_class.from_dict({**default.to_dict(), **changes}).validate()
+    except (TypeError, ValueError) as error:
+        raise ReproError(f"invalid {noun} spec: {error}") from None
+
+
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioSpec:
     """Build the validated ScenarioSpec that ``repro run`` describes."""
     if (args.problem is None) == (args.spec is None):
         raise ReproError("run needs exactly one of PROBLEM or --spec FILE")
-    changes = dict(_parse_assignment(token) for token in args.assignments)
-    try:
-        if args.spec is not None:
-            base = ScenarioSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
-        else:
-            base = ScenarioSpec(problem=args.problem)
-        return ScenarioSpec.from_dict({**base.to_dict(), **changes}).validate()
-    except (TypeError, ValueError) as error:
-        raise ReproError(f"invalid scenario spec: {error}") from None
+    return _spec_from_args(args, ScenarioSpec(problem=args.problem), "scenario")
 
 
 def _run_scenario(args: argparse.Namespace) -> int:
@@ -857,42 +816,8 @@ def _run_scenario(args: argparse.Namespace) -> int:
     return 0 if record.ok else 1
 
 
-def _problem_param_sets(tokens: Optional[Sequence[str]]):
-    """Parse ``--problem-params`` JSON-object tokens into a grid dimension."""
-    if tokens is None:
-        return ((),)
-    param_sets = []
-    for token in tokens:
-        params = json.loads(token)
-        if not isinstance(params, dict):
-            raise ReproError(
-                f"--problem-params entries must be JSON objects, got {token!r}"
-            )
-        param_sets.append(params)
-    return tuple(param_sets)
-
-
-def _sweep_from_args(args: argparse.Namespace) -> SweepSpec:
-    """Build the SweepSpec the shared grid flags describe (or load --spec)."""
-    if args.spec is not None:
-        return SweepSpec.from_json(Path(args.spec).read_text(encoding="utf-8"))
-    if args.seeds < 1:
-        raise ReproError(f"--seeds must be at least 1, got {args.seeds}")
-    return SweepSpec(
-        problems=(args.problem,),
-        families=tuple(args.family),
-        sizes=tuple(args.sizes),
-        seeds=tuple(range(args.seeds)),
-        schedulers=tuple(args.schedulers),
-        problem_param_sets=_problem_param_sets(args.problem_params),
-        label_sets=(None if args.labels is None else tuple(args.labels),),
-        team_sizes=(args.team_size,),
-        max_traversals=args.max_traversals,
-    )
-
-
 def _run_sweep(args: argparse.Namespace) -> int:
-    sweep = _sweep_from_args(args)
+    sweep = _spec_from_args(args, SweepSpec(), "sweep")
     total = len(sweep)
 
     def progress(done: int, _total: int, record: RunRecord, cached: bool) -> None:
@@ -904,13 +829,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 f"scheduler={record.scheduler} cost={record.cost}"
             )
 
-    store = None if args.store is None else FileStore(args.store)
     if args.executor == "queue":
         executor = make_executor(
             args.jobs, kind="queue", queue_dir=args.queue, unit_size=args.unit_size
         )
     else:
         executor = make_executor(args.jobs, kind=args.executor)
+    store = None if args.store is None else FileStore(args.store)
     try:
         result = run_sweep(
             sweep,
@@ -972,11 +897,11 @@ def _run_worker(args: argparse.Namespace) -> int:
 
 def _run_queue(args: argparse.Namespace) -> int:
     if args.queue_command == "dispatch":
-        sweep = _sweep_from_args(args)
-        queue = WorkQueue(args.queue, create=True)
+        sweep = _spec_from_args(args, SweepSpec(), "sweep")
         store = None if args.store is None else FileStore(args.store, create=False)
         try:
-            report = Dispatcher(queue, unit_size=args.unit_size).dispatch(
+            # The dispatcher checks the unit size before it creates the queue.
+            report = Dispatcher(args.queue, unit_size=args.unit_size).dispatch(
                 sweep, store=store
             )
         finally:

@@ -6,6 +6,7 @@ import contextlib
 import os
 from typing import Any, Dict, Iterable, List, Optional, Union
 
+from ..exceptions import ReproError
 from ..runtime.spec import ScenarioSpec, SweepSpec
 from .queue import WorkQueue
 
@@ -33,7 +34,7 @@ class Dispatcher:
         unit_size: int = DEFAULT_UNIT_SIZE,
     ) -> None:
         if unit_size < 1:
-            raise ValueError(f"unit_size must be positive, got {unit_size}")
+            raise ReproError(f"unit_size must be positive, got {unit_size}")
         self.queue = queue if isinstance(queue, WorkQueue) else WorkQueue(queue, create=True)
         self.unit_size = unit_size
 

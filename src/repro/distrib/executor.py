@@ -91,6 +91,8 @@ class QueueExecutor(Executor):
     ) -> None:
         if workers < 1:
             raise ReproError(f"queue executor needs at least one worker, got {workers}")
+        if unit_size < 1:
+            raise ReproError(f"unit_size must be positive, got {unit_size}")
         self.workers = workers
         self.queue_dir = None if queue_dir is None else Path(queue_dir)
         self.unit_size = unit_size

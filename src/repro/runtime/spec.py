@@ -19,9 +19,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from ..exceptions import ReproError
 from .registry import COST_MODELS, GRAPH_FAMILIES, PROBLEMS, SCHEDULERS
@@ -315,6 +316,25 @@ class ScenarioSpec:
         return cls.from_dict(data)
 
 
+def _optional_int(value: Any) -> Optional[int]:
+    return None if value is None else int(value)
+
+
+#: SweepSpec's grid dimensions, each with the function that freezes one of
+#: its entries.
+_DIMENSIONS: Dict[str, Callable[[Any], Any]] = {
+    "problems": str,
+    "families": str,
+    "sizes": int,
+    "seeds": int,
+    "schedulers": str,
+    "label_sets": _freeze_ints,
+    "scheduler_param_sets": _freeze_params,
+    "problem_param_sets": _freeze_params,
+    "team_sizes": _optional_int,
+}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of scenarios: the cartesian product of the listed dimensions.
@@ -343,42 +363,34 @@ class SweepSpec:
     name: Optional[str] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "problems", tuple(self.problems))
-        object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "schedulers", tuple(self.schedulers))
-        object.__setattr__(
-            self, "label_sets", tuple(_freeze_ints(labels) for labels in self.label_sets)
-        )
-        object.__setattr__(
-            self,
-            "scheduler_param_sets",
-            tuple(_freeze_params(params) for params in self.scheduler_param_sets),
-        )
-        object.__setattr__(
-            self,
-            "problem_param_sets",
-            tuple(_freeze_params(params) for params in self.problem_param_sets),
-        )
-        object.__setattr__(
-            self,
-            "team_sizes",
-            tuple(None if k is None else int(k) for k in self.team_sizes),
-        )
+        for name, freeze in _DIMENSIONS.items():
+            values = getattr(self, name)
+            # Anything but a list is left as it is for validate() to refuse:
+            # a bare string is not split into a dimension of characters.
+            if isinstance(values, Iterable) and not isinstance(values, (str, Mapping)):
+                object.__setattr__(self, name, tuple(freeze(value) for value in values))
 
     def __len__(self) -> int:
-        return (
-            len(self.problems)
-            * len(self.families)
-            * len(self.sizes)
-            * len(self.seeds)
-            * len(self.schedulers)
-            * len(self.label_sets)
-            * len(self.scheduler_param_sets)
-            * len(self.problem_param_sets)
-            * len(self.team_sizes)
-        )
+        return math.prod(len(getattr(self, name)) for name in _DIMENSIONS)
+
+    def validate(self) -> "SweepSpec":
+        """Check that the grid is a non-empty product of valid cells; return ``self``.
+
+        Every dimension must be a list with at least one entry, and every
+        cell must pass :meth:`ScenarioSpec.validate`.  Called wherever a
+        sweep arrives from outside (the CLI, ``POST /sweeps``).
+        """
+        for name in _DIMENSIONS:
+            values = getattr(self, name)
+            if not isinstance(values, tuple):
+                raise ReproError(f"SweepSpec field {name!r} takes a list, got {values!r}")
+            if not values:
+                raise ReproError(
+                    f"SweepSpec field {name!r} is empty: the sweep has no cells"
+                )
+        for cell in self.cells():
+            cell.validate()
+        return self
 
     def cells(self) -> Iterator[ScenarioSpec]:
         """Enumerate the concrete scenarios of the grid, outermost first."""

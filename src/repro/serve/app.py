@@ -520,7 +520,7 @@ class ResultService:
         if not isinstance(sweep_data, dict):
             raise _HTTPError(400, "'sweep' must be a SweepSpec JSON object")
         try:
-            sweep = SweepSpec.from_dict(sweep_data)
+            sweep = SweepSpec.from_dict(sweep_data).validate()
             job = jobs.submit(
                 sweep, unit_size=None if unit_size is None else int(unit_size)
             )

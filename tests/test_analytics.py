@@ -189,7 +189,7 @@ class TestTraceTop:
 class TestTraceCli:
     def _traced_store(self, tmp_path) -> str:
         store_dir = str(tmp_path / "store")
-        assert main(["sweep", "--sizes", "4", "6", "--seeds", "1", "--quiet",
+        assert main(["sweep", "--set", "sizes=[4,6]", "--quiet",
                      "--trace", "--store", store_dir]) == 0
         return store_dir
 
@@ -202,7 +202,7 @@ class TestTraceCli:
 
     def test_trace_top_on_untraced_store_fails_cleanly(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
-        assert main(["sweep", "--sizes", "4", "--seeds", "1", "--quiet",
+        assert main(["sweep", "--set", "sizes=[4]", "--quiet",
                      "--store", store_dir]) == 0
         capsys.readouterr()
         assert main(["trace", "top", "--store", store_dir]) == 1
@@ -238,7 +238,7 @@ class TestTraceCli:
 
     def test_trace_diff_requires_traced_records(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
-        assert main(["sweep", "--sizes", "4", "6", "--seeds", "1", "--quiet",
+        assert main(["sweep", "--set", "sizes=[4,6]", "--quiet",
                      "--store", store_dir]) == 0
         with FileStore(store_dir, create=False) as store:
             keys = sorted(store.keys())

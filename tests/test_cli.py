@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.runtime import ScenarioSpec
+from repro.runtime import ScenarioSpec, SweepSpec
 
 
 class TestParser:
@@ -59,7 +60,7 @@ class TestCommands:
         assert code == 0
         assert "baseline" in captured.out
 
-    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    @pytest.mark.parametrize("seeds", [pytest.param("[]", id="0"), "-2"])
     @pytest.mark.parametrize("command", ["sweep", "queue-dispatch"])
     def test_grid_without_seeds_exits_2(self, tmp_path, capsys, command, seeds):
         queue = tmp_path / "q"
@@ -67,10 +68,13 @@ class TestCommands:
             "sweep": ["sweep", "--quiet"],
             "queue-dispatch": ["queue", "dispatch", "--queue", str(queue)],
         }[command]
-        assert main(argv + ["--seeds", seeds]) == 2
+        assert main(argv + ["--set", f"seeds={seeds}"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: --seeds must be at least 1, got {seeds}\n"
+        assert captured.err == {
+            "[]": "error: SweepSpec field 'seeds' is empty: the sweep has no cells\n",
+            "-2": "error: SweepSpec field 'seeds' takes a list, got -2\n",
+        }[seeds]
         assert not queue.exists()
 
     def test_esst_command(self, capsys):
@@ -232,6 +236,94 @@ class TestRunSet:
         assert not path.exists()
 
 
+class TestSweepSet:
+    """``sweep`` and ``queue dispatch`` describe their grid as a SweepSpec."""
+
+    ARGV = {
+        "sweep": ["sweep", "--quiet"],
+        "queue-dispatch": ["queue", "dispatch"],
+    }
+
+    def _argv(self, command, tmp_path):
+        # Each command gets a directory it would create if it ran a cell.
+        where = ["--store", str(tmp_path / "store")] if command == "sweep" else []
+        return self.ARGV[command] + ["--queue", str(tmp_path / "q")] + where
+
+    @pytest.mark.parametrize("command", ["sweep", "queue-dispatch"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--set", "families=ring"], "SweepSpec field 'families' takes a list, got 'ring'"),
+            (["--set", "bogus=1"], "unknown SweepSpec fields: ['bogus']"),
+            (["--set", "sizes"], "--set expects FIELD=VALUE, got 'sizes'"),
+            (["--set", 'problems=["nope"]'], "unknown problem 'nope'"),
+            (["--set", "sizes=[4,0]"], "graph size must be positive, got 0"),
+            (["--unit-size", "0"], "unit_size must be positive, got 0"),
+        ],
+        ids=["bare-string", "unknown-field", "no-equals", "bad-cell", "bad-size", "unit-size-0"],
+    )
+    def test_refusals_exit_2_and_create_nothing(
+        self, tmp_path, capsys, command, extra, message
+    ):
+        if command == "sweep" and extra[0] == "--unit-size":
+            extra = extra + ["--executor", "queue"]
+        assert main(self._argv(command, tmp_path) + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_pool_with_zero_jobs_exits_2(self, tmp_path, capsys):
+        argv = self._argv("sweep", tmp_path) + ["--jobs", "0", "--executor", "pool"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a process pool needs at least 1 job, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["sweep", "queue-dispatch"])
+    def test_spec_file_with_an_empty_dimension_exits_2(self, tmp_path, capsys, command):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"sizes": [4], "seeds": []}), encoding="utf-8")
+        argv = self.ARGV[command] + ["--queue", str(tmp_path / "q"), "--spec", str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: SweepSpec field 'seeds' is empty: the sweep has no cells\n"
+        assert not (tmp_path / "q").exists()
+
+    def test_set_overrides_a_field_of_the_loaded_spec(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(SweepSpec(sizes=(4, 6, 8), seeds=(0, 1)).to_json(), encoding="utf-8")
+        out = tmp_path / "result.json"
+        argv = ["sweep", "--quiet", "--spec", str(path), "--set", "sizes=[4]", "--json", str(out)]
+        assert main(argv) == 0
+        assert "sweep: 2 cells" in capsys.readouterr().out
+        records = json.loads(out.read_text(encoding="utf-8"))["records"]
+        assert [(r["spec"]["size"], r["spec"]["seed"]) for r in records] == [(4, 0), (4, 1)]
+        queue = str(tmp_path / "q")
+        assert main(["queue", "dispatch", "--queue", queue, "--spec", str(path),
+                     "--set", "sizes=[4]"]) == 0
+        assert capsys.readouterr().out.startswith("dispatched 2 cells")
+
+    def test_bare_sweep_runs_the_default_scenario(self, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        assert main(["sweep", "--quiet", "--json", str(out)]) == 0
+        records = json.loads(out.read_text(encoding="utf-8"))["records"]
+        assert [ScenarioSpec.from_dict(r["spec"]) for r in records] == [ScenarioSpec()]
+
+    @pytest.mark.parametrize("command", ["sweep", "queue-dispatch"])
+    def test_help_lists_spec_and_set_but_no_grid_flag(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main(self.ARGV[command] + ["--help"])
+        options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert {"--spec", "--set"} <= options
+        grid_flags = {"--problem", "--family", "--sizes", "--schedulers", "--seeds",
+                      "--labels", "--team-size", "--max-traversals", "--problem-params"}
+        assert not options & grid_flags
+
+
 class TestObservabilityCli:
     @pytest.fixture()
     def spec_file(self, tmp_path):
@@ -300,7 +392,7 @@ class TestObservabilityCli:
         assert "trace" not in record["extra"]
 
     def test_metrics_dump_wraps_a_sweep(self, capsys):
-        assert main(["metrics", "dump", "sweep", "--sizes", "4", "--quiet"]) == 0
+        assert main(["metrics", "dump", "sweep", "--set", "sizes=[4]", "--quiet"]) == 0
         out = capsys.readouterr().out
         payload = json.loads(out[out.index("\n{") :])
         assert payload["repro_runs_total"] == {"problem=rendezvous": 1}
@@ -319,7 +411,7 @@ class TestObservabilityCli:
     def test_sweep_trace_attaches_traces_to_stored_records(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
         assert (
-            main(["sweep", "--sizes", "4", "--quiet", "--trace", "--store", store_dir])
+            main(["sweep", "--set", "sizes=[4]", "--quiet", "--trace", "--store", store_dir])
             == 0
         )
         from repro.store import FileStore
@@ -336,8 +428,8 @@ class TestObservabilityCli:
             code = main(
                 [
                     "sweep",
-                    "--sizes",
-                    "4",
+                    "--set",
+                    "sizes=[4]",
                     "--quiet",
                     "--trace",
                     "--executor",

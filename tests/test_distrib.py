@@ -482,7 +482,7 @@ class TestQueueExecutor:
         second = run_sweep(
             second_sweep,
             executor=executor,
-            progress=lambda done, total, record: events.append((done, total)),
+            progress=lambda done, total, record, cached: events.append((done, total)),
         )
         assert events == [(1, 2), (2, 2)]  # not inflated by the first sweep
         assert second.records == run_sweep(second_sweep).records
@@ -517,7 +517,7 @@ class TestCliSurface:
         serial_dir = str(tmp_path / "serial")
         merged_dir = str(tmp_path / "merged")
 
-        assert main(["queue", "dispatch", "--sizes", "4", "6", "--seeds", "2",
+        assert main(["queue", "dispatch", "--set", "sizes=[4,6]", "--set", "seeds=[0,1]",
                      "--queue", queue_dir, "--unit-size", "2"]) == 0
         assert "dispatched 4 cells" in capsys.readouterr().out
         # Queue not drained yet: status exits non-zero.
@@ -536,7 +536,7 @@ class TestCliSurface:
         assert main(["store", "merge", str(tmp_path / "q" / "results" / "w1"),
                      "--into", merged_dir]) == 0
         capsys.readouterr()
-        assert main(["sweep", "--sizes", "4", "6", "--seeds", "2", "--quiet",
+        assert main(["sweep", "--set", "sizes=[4,6]", "--set", "seeds=[0,1]", "--quiet",
                      "--store", serial_dir]) == 0
         capsys.readouterr()
 
@@ -547,7 +547,7 @@ class TestCliSurface:
         assert merged_keys == serial_keys and len(merged_keys.splitlines()) == 4
 
     def test_sweep_executor_queue_flag(self, tmp_path, capsys):
-        assert main(["sweep", "--sizes", "4", "--seeds", "2", "--quiet",
+        assert main(["sweep", "--set", "sizes=[4]", "--set", "seeds=[0,1]", "--quiet",
                      "--jobs", "2", "--executor", "queue",
                      "--queue", str(tmp_path / "q"), "--unit-size", "1",
                      "--store", str(tmp_path / "store")]) == 0
@@ -560,10 +560,10 @@ class TestCliSurface:
 
     def test_dispatch_store_skip(self, tmp_path, capsys):
         store_dir = str(tmp_path / "store")
-        assert main(["sweep", "--sizes", "4", "--seeds", "2", "--quiet",
+        assert main(["sweep", "--set", "sizes=[4]", "--set", "seeds=[0,1]", "--quiet",
                      "--store", store_dir]) == 0
         capsys.readouterr()
-        assert main(["queue", "dispatch", "--sizes", "4", "6", "--seeds", "2",
+        assert main(["queue", "dispatch", "--set", "sizes=[4,6]", "--set", "seeds=[0,1]",
                      "--queue", str(tmp_path / "q"), "--store", store_dir]) == 0
         assert "2 cells already stored" in capsys.readouterr().out
 
@@ -618,7 +618,7 @@ class TestCancellation:
 class TestQueueStatusJson:
     def test_json_output_and_drained_flag(self, tmp_path, capsys):
         queue_dir = str(tmp_path / "queue")
-        assert main(["queue", "dispatch", "--sizes", "4", "6", "--seeds", "2",
+        assert main(["queue", "dispatch", "--set", "sizes=[4,6]", "--set", "seeds=[0,1]",
                      "--queue", queue_dir, "--unit-size", "2"]) == 0
         capsys.readouterr()
 

@@ -98,7 +98,7 @@ class TestExecutors:
         result = run_sweep(
             SweepSpec(sizes=(4, 6), label_sets=((1, 2),)),
             executor=SerialExecutor(),
-            progress=lambda done, total, record: seen.append((done, total, record.ok)),
+            progress=lambda done, total, record, cached: seen.append((done, total, record.ok)),
         )
         assert len(result) == 2
         assert seen == [(1, 2, True), (2, 2, True)]

@@ -332,6 +332,21 @@ class TestSweepLifecycle:
         assert service.handle("GET", "/sweeps/missing/status").status == 404
         assert service.handle("POST", "/sweeps/missing/cancel").status == 404
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [{"sizes": [4], "seeds": []}, {"families": "ring"}],
+        ids=["empty-dimension", "bare-string"],
+    )
+    def test_ill_formed_grid_is_400_and_writes_nothing(self, tmp_path, sweep):
+        service = ResultService(MemoryStore(), queue=str(tmp_path / "q"))
+        response = service.handle("POST", "/sweeps", body=json.dumps({"sweep": sweep}).encode())
+        assert response.status == 400
+        assert "undispatchable sweep: SweepSpec field" in body_of(response)["error"]
+        assert not list(service.jobs.jobs_root.glob("*"))
+        assert service.jobs.queue.units() == []
+        events = service.jobs.queue.journal().events()
+        assert not [event for event in events if event["type"] in ("job.submit", "sweep.dispatch")]
+
     def test_job_id_is_content_addressed(self):
         assert job_id(["u1", "u2"]) == job_id(["u1", "u2"])
         assert job_id(["u1", "u2"]) != job_id(["u2", "u1"])

@@ -269,10 +269,14 @@ class TestRunSweepWithStore:
         assert all(e[1] == len(GRID) for e in events)
         assert [e[3] for e in events] == [True, True, False, False]
 
-    def test_three_argument_progress_still_works(self, tmp_path):
+    def test_progress_on_a_cold_store_reports_every_run(self, tmp_path):
         events = []
-        run_sweep(GRID, store=MemoryStore(), progress=lambda done, total, record: events.append(done))
-        assert events == [1, 2, 3, 4]
+        run_sweep(
+            GRID, store=MemoryStore(),
+            progress=lambda done, total, record, cached: events.append((done, cached)),
+        )
+        assert [done for done, _cached in events] == [1, 2, 3, 4]
+        assert not any(cached for _done, cached in events)
 
     def test_store_is_written_incrementally(self, tmp_path):
         """Every record is persisted as it completes, not at sweep end."""

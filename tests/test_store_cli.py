@@ -8,7 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 
-SWEEP_ARGS = ["sweep", "--sizes", "4", "6", "--seeds", "2", "--quiet"]
+SWEEP_ARGS = ["sweep", "--set", "sizes=[4,6]", "--set", "seeds=[0,1]", "--quiet"]
 
 
 def _sweep(tmp_path, *extra):

@@ -316,8 +316,8 @@ class TestStoreCliExtensions:
         from repro.cli import main
 
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert main(["sweep", "--sizes", "4", "--seeds", "2", "--quiet", "--store", a]) == 0
-        assert main(["sweep", "--sizes", "6", "--seeds", "2", "--quiet", "--store", b]) == 0
+        assert main(["sweep", "--set", "sizes=[4]", "--set", "seeds=[0,1]", "--quiet", "--store", a]) == 0
+        assert main(["sweep", "--set", "sizes=[6]", "--set", "seeds=[0,1]", "--quiet", "--store", b]) == 0
         capsys.readouterr()
         return a, b
 
