@@ -27,7 +27,6 @@ import math
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
-from ..exploration.cost_model import CostModel
 from ..runtime.records import RunRecord
 from ..runtime.records import resolve_field as _resolve_field
 from ..runtime.registry import COST_MODELS, Registry
@@ -200,9 +199,10 @@ def derive(rows: Iterable[Row], column: str, function: Callable[[Row], Any]) -> 
 # declarative derivations
 # ----------------------------------------------------------------------
 #: Derivation kinds usable in ``{"op": "derive", "kind": ...}`` pipeline ops.
-#: Each factory receives the op mapping (plus the live cost-model override)
-#: and returns either a per-row callable or a :class:`RowsTransform` for
-#: kinds that need cross-row context (``ratio``, ``fit_power_law``).
+#: Each factory receives the op mapping and returns either a per-row
+#: callable or a :class:`RowsTransform` for kinds that need cross-row
+#: context (``ratio``, ``fit_power_law``).  A model-based kind takes its
+#: cost model from the op's ``"model"`` name, else ``"simulation"``.
 DERIVATIONS = Registry("derivation")
 
 
@@ -217,19 +217,19 @@ class RowsTransform:
 
 
 @DERIVATIONS.register("bit_length")
-def _derive_bit_length(op: Mapping[str, Any], model: Optional[CostModel]):
+def _derive_bit_length(op: Mapping[str, Any]):
     source = op["source"]
     return lambda row: int(row[source]).bit_length()
 
 
 @DERIVATIONS.register("item")
-def _derive_item(op: Mapping[str, Any], model: Optional[CostModel]):
+def _derive_item(op: Mapping[str, Any]):
     source, index = op["source"], int(op.get("index", 0))
     return lambda row: None if row.get(source) is None else row[source][index]
 
 
 @DERIVATIONS.register("map")
-def _derive_map(op: Mapping[str, Any], model: Optional[CostModel]):
+def _derive_map(op: Mapping[str, Any]):
     source, mapping = op["source"], dict(op["mapping"])
     default = op.get("default")
 
@@ -244,13 +244,13 @@ def _derive_map(op: Mapping[str, Any], model: Optional[CostModel]):
 
 
 @DERIVATIONS.register("const")
-def _derive_const(op: Mapping[str, Any], model: Optional[CostModel]):
+def _derive_const(op: Mapping[str, Any]):
     value = op["value"]
     return lambda row: value
 
 
 @DERIVATIONS.register("when")
-def _derive_when(op: Mapping[str, Any], model: Optional[CostModel]):
+def _derive_when(op: Mapping[str, Any]):
     """Keep ``source`` where ``equals`` holds, otherwise the ``default``."""
     source = op["source"]
     match_column, match_value = op["equals"]
@@ -259,22 +259,19 @@ def _derive_when(op: Mapping[str, Any], model: Optional[CostModel]):
 
 
 @DERIVATIONS.register("guaranteed_bound")
-def _derive_guaranteed_bound(op: Mapping[str, Any], model: Optional[CostModel]):
+def _derive_guaranteed_bound(op: Mapping[str, Any]):
     """The worst-case guarantee for a row: ``Π(n, |L|)`` for the rendezvous
     problem, the full exponential trajectory length for the baseline.
 
-    Model precedence: a ``"model"`` name pinned in the op wins (the spec
-    declared it), then the live ``model`` override, then ``"simulation"``.
+    The bound's cost model is the ``"model"`` name pinned in the op, else
+    ``"simulation"``.
     """
     problem_column = op.get("problem", "problem")
     size_column = op.get("size", "n")
     label_column = op.get("label", "label_small")
-    if op.get("model") is not None:
-        bound_model = COST_MODELS.create(op["model"])
-    elif model is not None:
-        bound_model = model
-    else:
-        bound_model = COST_MODELS.create("simulation")
+    bound_model = COST_MODELS.create(
+        "simulation" if op.get("model") is None else op["model"]
+    )
 
     def _bound(row: Row) -> int:
         n, label = int(row[size_column]), int(row[label_column])
@@ -286,12 +283,12 @@ def _derive_guaranteed_bound(op: Mapping[str, Any], model: Optional[CostModel]):
 
 
 @DERIVATIONS.register("ratio")
-def _derive_ratio_factory(op: Mapping[str, Any], model: Optional[CostModel]) -> RowsTransform:
+def _derive_ratio_factory(op: Mapping[str, Any]) -> RowsTransform:
     return RowsTransform(lambda rows: _derive_ratio(rows, op))
 
 
 @DERIVATIONS.register("fit_power_law")
-def _derive_fit_factory(op: Mapping[str, Any], model: Optional[CostModel]) -> RowsTransform:
+def _derive_fit_factory(op: Mapping[str, Any]) -> RowsTransform:
     return RowsTransform(lambda rows: _derive_fit_power_law(rows, op))
 
 
@@ -349,14 +346,12 @@ def _derive_fit_power_law(rows: List[Row], op: Mapping[str, Any]) -> List[Row]:
 def apply_pipeline(
     records: Sequence[RunRecord],
     pipeline: Sequence[Mapping[str, Any]],
-    model: Optional[CostModel] = None,
 ) -> List[Row]:
     """Run a declarative op list over a record stream, producing rows.
 
     The first op is normally ``extract`` (records → rows); a pipeline that
     starts with any other op gets an implicit extraction of the default
-    table columns.  ``model`` optionally overrides the cost model used by
-    model-based derivations (mirroring ``run(spec, model=...)``).
+    table columns.
     """
     pipeline = list(pipeline)
     if not pipeline or pipeline[0].get("op") != "extract":
@@ -373,7 +368,7 @@ def apply_pipeline(
         if kind == "extract":
             rows = rows_from_records(records, op["columns"])
         elif kind == "derive":
-            derivation = DERIVATIONS.create(op.get("kind"), op, model)
+            derivation = DERIVATIONS.create(op.get("kind"), op)
             if isinstance(derivation, RowsTransform):
                 rows = derivation(rows)
             else:

@@ -244,11 +244,9 @@ def experiment_document(result: "ExperimentResult") -> Dict[str, Any]:
     return document
 
 
-def aggregate_records(
-    spec: ExperimentSpec, records: Sequence[RunRecord], model: Optional[Any] = None
-) -> TableData:
+def aggregate_records(spec: ExperimentSpec, records: Sequence[RunRecord]) -> TableData:
     """Aggregate a record stream through the spec's pipeline into a table."""
-    rows = apply_pipeline(list(records), spec.pipeline, model=model)
+    rows = apply_pipeline(list(records), spec.pipeline)
     return TableData(
         title=spec.title,
         columns=spec.columns,
@@ -263,7 +261,6 @@ def run_experiment(
     store: Optional[Any] = None,
     resume: bool = True,
     executor: Optional[Executor] = None,
-    model: Optional[Any] = None,
     progress: Optional[Any] = None,
 ) -> ExperimentResult:
     """Execute an experiment (by registered name or spec) and aggregate it.
@@ -272,26 +269,22 @@ def run_experiment(
     ``store`` makes the experiment incremental: cells already stored are
     served without execution, fresh cells are persisted as they complete,
     and a warm invocation re-renders the table with **zero** scenario
-    executions (``result.executed == 0``).  ``model`` optionally overrides
-    the cells' named cost model — for both execution and any model-based
-    derived columns (except where a derive op pins its own ``"model"``
-    name: what the spec declares explicitly always wins).
+    executions (``result.executed == 0``).  Every cell runs under the cost
+    model its spec names.
     """
     if isinstance(spec, str):
         spec = experiment_spec(spec)
     spec.validate()
     work = spec.sweep if spec.sweep is not None else spec.cell_specs()
     result = run_sweep(
-        work, executor=executor, model=model, progress=progress, store=store, resume=resume
+        work, executor=executor, progress=progress, store=store, resume=resume
     )
     return ExperimentResult(
-        spec=spec, result=result, table=aggregate_records(spec, result.records, model=model)
+        spec=spec, result=result, table=aggregate_records(spec, result.records)
     )
 
 
-def aggregate_from_store(
-    spec: Union[str, ExperimentSpec], store: Any, model: Optional[Any] = None
-) -> ExperimentResult:
+def aggregate_from_store(spec: Union[str, ExperimentSpec], store: Any) -> ExperimentResult:
     """Re-render an experiment purely from ``store`` — no executor at all.
 
     Every cell must already be stored (e.g. by a previous
@@ -311,7 +304,7 @@ def aggregate_from_store(
         )
     result = SweepResult(records=list(records), cache_hits=len(records), executed=0)
     return ExperimentResult(
-        spec=spec, result=result, table=aggregate_records(spec, result.records, model=model)
+        spec=spec, result=result, table=aggregate_records(spec, result.records)
     )
 
 
@@ -472,7 +465,7 @@ def _e2(
     ``L + offset``; the guaranteed bound is ``Π(n, |L|)`` for RV-asynch-poly
     versus the full exponential trajectory length for the naive baseline.
     ``bound_model`` pins a registered cost-model name for the bound column;
-    by default it follows the run's model (live override or per-cell name).
+    by default the bound uses ``"simulation"``.
     """
     sweep = SweepSpec(
         problems=("rendezvous", "baseline"),

@@ -171,15 +171,9 @@ class QueueExecutor(Executor):
     def map_specs(
         self,
         specs: List[ScenarioSpec],
-        model=None,
         progress: Optional[ProgressCallback] = None,
         trace: bool = False,
     ) -> List[RunRecord]:
-        if model is not None:
-            raise ReproError(
-                "the queue executor cannot ship a live cost-model override to "
-                "worker processes; name the model in the specs' cost_model field"
-            )
         if trace:
             raise ReproError(
                 "the queue executor cannot trace cells: tracing is a per-process "

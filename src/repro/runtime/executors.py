@@ -4,8 +4,8 @@
 of :class:`~repro.runtime.spec.ScenarioSpec`) into a
 :class:`~repro.runtime.records.SweepResult`.  The executor is pluggable:
 
-* :class:`SerialExecutor` — run every cell in-process, in order.  Supports a
-  live cost-model override, which is what the experiment drivers use.
+* :class:`SerialExecutor` — run every cell in-process, in order, sharing
+  each named cost model between the cells that name it.
 * :class:`ProcessPoolExecutor` — fan the cells out over worker processes.
   Specs are picklable by construction and each cell carries its own seed, so
   the records are identical to a serial run — only the wall-clock changes.
@@ -34,10 +34,9 @@ import warnings
 from typing import TYPE_CHECKING, Callable, Iterable, List, Optional, Union
 
 from ..exceptions import ReproError
-from ..exploration.cost_model import CostModel
 from ..obs.metrics import get_registry
 from .records import RunRecord, SweepResult
-from .runner import cost_model_resolver, run
+from .runner import run, shared_cost_models
 from .spec import ScenarioSpec, SweepSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -75,7 +74,6 @@ class Executor:
     def map_specs(
         self,
         specs: List[ScenarioSpec],
-        model: Optional[CostModel] = None,
         progress: Optional[ProgressCallback] = None,
         trace: bool = False,
     ) -> List[RunRecord]:
@@ -85,47 +83,45 @@ class Executor:
 class SerialExecutor(Executor):
     """Run every cell in the current process, one after the other.
 
-    Without a live ``model`` override, each cost-model name the cells use
-    is resolved once per ``map_specs`` call and that instance serves every
-    cell naming it, so the cells share its length tables.
+    Each cost-model name the cells use is built once per ``map_specs`` call
+    and that instance serves every cell naming it, so the cells share its
+    length tables.
     """
 
     def map_specs(
         self,
         specs: List[ScenarioSpec],
-        model: Optional[CostModel] = None,
         progress: Optional[ProgressCallback] = None,
         trace: bool = False,
     ) -> List[RunRecord]:
         cell_seconds = get_registry().histogram(
             "repro_cell_seconds", "Wall time per sweep cell"
         )
-        model_for = cost_model_resolver(model)
         records: List[RunRecord] = []
         total = len(specs)
-        for index, spec in enumerate(specs):
-            started = time.perf_counter()
-            record = run(spec, model=model_for(spec), trace=trace)
-            cell_seconds.observe(time.perf_counter() - started, executor="serial")
-            records.append(record)
-            if progress is not None:
-                progress(index + 1, total, record)
+        with shared_cost_models():
+            for index, spec in enumerate(specs):
+                started = time.perf_counter()
+                record = run(spec, trace=trace)
+                cell_seconds.observe(time.perf_counter() - started, executor="serial")
+                records.append(record)
+                if progress is not None:
+                    progress(index + 1, total, record)
         return records
 
 
 def _run_cell(payload):
     """Top-level worker entry point (must be picklable)."""
-    spec, model, trace = payload
-    return run(spec, model=model, trace=trace)
+    spec, trace = payload
+    return run(spec, trace=trace)
 
 
 class ProcessPoolExecutor(Executor):
     """Fan cells out over a ``concurrent.futures`` process pool.
 
-    ``max_workers=None`` lets the pool pick one worker per CPU.  The cost
-    model override is pickled along with each spec; the default
-    (``model=None``) resolves the spec's named cost model inside the worker,
-    which also keeps each worker's exploration-sequence caches local.
+    ``max_workers=None`` lets the pool pick one worker per CPU.  Each cell
+    builds its spec's named cost model inside the worker, which also keeps
+    each worker's exploration-sequence caches local.
     """
 
     def __init__(self, max_workers: Optional[int] = None) -> None:
@@ -134,7 +130,6 @@ class ProcessPoolExecutor(Executor):
     def map_specs(
         self,
         specs: List[ScenarioSpec],
-        model: Optional[CostModel] = None,
         progress: Optional[ProgressCallback] = None,
         trace: bool = False,
     ) -> List[RunRecord]:
@@ -152,7 +147,7 @@ class ProcessPoolExecutor(Executor):
         ) as pool:
             submitted = time.perf_counter()
             futures = {
-                pool.submit(_run_cell, (spec, model, trace)): index
+                pool.submit(_run_cell, (spec, trace)): index
                 for index, spec in enumerate(specs)
             }
             for future in concurrent.futures.as_completed(futures):
@@ -175,13 +170,13 @@ def make_executor(
     ``jobs``: ≤ 1 (or ``None``) → serial; otherwise a pool of ``jobs``
     workers.  ``kind="queue"`` builds a
     :class:`~repro.distrib.executor.QueueExecutor` with ``jobs`` worker
-    processes (default 2); ``options`` (``queue_dir``, ``unit_size``,
+    processes (``None`` → 2); ``options`` (``queue_dir``, ``unit_size``,
     ``lease_ttl``, …) pass through to it.
     """
     if kind == "queue":
         from ..distrib.executor import QueueExecutor
 
-        return QueueExecutor(workers=jobs if jobs and jobs > 0 else 2, **options)
+        return QueueExecutor(workers=2 if jobs is None else jobs, **options)
     if options:
         raise ReproError(f"executor kind {kind!r} takes no options: {sorted(options)}")
     if kind == "serial":
@@ -202,7 +197,6 @@ def make_executor(
 def run_sweep(
     sweep: Union[SweepSpec, Iterable[ScenarioSpec]],
     executor: Optional[Executor] = None,
-    model: Optional[CostModel] = None,
     progress: Optional[SweepProgress] = None,
     store: Optional["ResultStore"] = None,
     resume: bool = True,
@@ -256,7 +250,7 @@ def run_sweep(
             if progress is None
             else lambda done, total, record: progress(done, total, record, False)
         )
-        records = executor.map_specs(specs, model=model, progress=plain, trace=trace)
+        records = executor.map_specs(specs, progress=plain, trace=trace)
         cells_total.inc(len(records), status="executed")
         return SweepResult(records=records, sweep=sweep_spec)
 
@@ -285,7 +279,7 @@ def run_sweep(
             progress(progress_state["done"], total, record, False)
 
     fresh = executor.map_specs(
-        [spec for _index, spec in pending], model=model, progress=on_fresh, trace=trace
+        [spec for _index, spec in pending], progress=on_fresh, trace=trace
     )
     for (index, _spec), record in zip(pending, fresh):
         slots[index] = record

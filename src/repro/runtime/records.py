@@ -261,27 +261,27 @@ class SweepResult:
                 selected.append(record)
         return SweepResult(records=selected, sweep=self.sweep)
 
-    def bound_ratios(self, model: Optional[Any] = None) -> List[float]:
+    def bound_ratios(self) -> List[float]:
         """``Π(n, |L_min|) / measured cost`` for every rendezvous cell.
 
         The ratio says how much head-room the worst-case guarantee of
         Theorem 3.1 leaves over the measured run; it is only defined for
         the ``"rendezvous"`` problem (the baseline's guarantee is the
-        exponential trajectory length, not ``Π``).  ``Π`` comes from
-        ``model`` when given, otherwise from each record's named cost model
-        (built once per name, as a serial sweep does).
+        exponential trajectory length, not ``Π``).  ``Π`` comes from each
+        record's named cost model (built once per name, as a serial sweep
+        does).
         """
-        from .runner import cost_model_resolver
+        from .runner import build_cost_model, shared_cost_models
 
-        model_for = cost_model_resolver(model)
         ratios: List[float] = []
-        for record in self.records:
-            if record.problem != "rendezvous" or record.cost <= 0:
-                continue
-            labels = record.spec.labels or (6, 11)
-            shortest = min(label.bit_length() for label in labels)
-            bound = model_for(record.spec).pi_bound(record.graph_size, shortest)
-            ratios.append(bound / record.cost)
+        with shared_cost_models():
+            for record in self.records:
+                if record.problem != "rendezvous" or record.cost <= 0:
+                    continue
+                labels = record.spec.labels or (6, 11)
+                shortest = min(label.bit_length() for label in labels)
+                model = build_cost_model(record.spec)
+                ratios.append(model.pi_bound(record.graph_size, shortest) / record.cost)
         return ratios
 
     # ------------------------------------------------------------------

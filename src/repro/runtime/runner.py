@@ -22,10 +22,12 @@ migrated drivers reproduce the historical tables bit for bit):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import time
+from contextvars import ContextVar
 from fractions import Fraction
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from ..core.baseline import run_baseline_rendezvous
 from ..core.rendezvous import run_rendezvous
@@ -51,7 +53,7 @@ __all__ = [
     "build_graph",
     "build_scheduler",
     "build_cost_model",
-    "cost_model_resolver",
+    "shared_cost_models",
 ]
 
 
@@ -70,47 +72,48 @@ def build_scheduler(spec: ScenarioSpec) -> Scheduler:
     return SCHEDULERS.create(spec.scheduler, **kwargs)
 
 
+#: The named cost models of the innermost :func:`shared_cost_models` block.
+_SHARED_MODELS: ContextVar[Optional[Dict[str, CostModel]]] = ContextVar(
+    "shared_cost_models", default=None
+)
+
+
 def build_cost_model(spec: ScenarioSpec) -> CostModel:
-    """Build the cost model a spec names."""
-    return COST_MODELS.create(spec.cost_model)
+    """Build the cost model a spec names.
 
-
-def cost_model_resolver(
-    model: Optional[CostModel] = None,
-) -> Callable[[ScenarioSpec], CostModel]:
-    """Return ``spec -> CostModel`` that builds each named cost model once.
-
-    With ``model`` every spec gets that live override.  Otherwise the first
-    spec naming a cost model builds it and later specs naming the same model
-    share the instance — and with it the model's length tables, which is
-    what makes a sweep of bound cells (experiment E3) cheap.  The cache lives
-    as long as the returned function: one sweep, never the process.
+    Inside a :func:`shared_cost_models` block each name is built once and
+    every later spec naming it gets the same instance.
     """
-    if model is not None:
-        return lambda spec: model
-    models: Dict[str, CostModel] = {}
-
-    def resolve(spec: ScenarioSpec) -> CostModel:
-        found = models.get(spec.cost_model)
-        if found is None:
-            # Validate first, so a bad spec fails as ``run(spec)`` reports it.
-            found = models[spec.cost_model] = build_cost_model(spec.validate())
-        return found
-
-    return resolve
+    shared = _SHARED_MODELS.get()
+    if shared is None:
+        return COST_MODELS.create(spec.cost_model)
+    found = shared.get(spec.cost_model)
+    if found is None:
+        found = shared[spec.cost_model] = COST_MODELS.create(spec.cost_model)
+    return found
 
 
-def run(
-    spec: ScenarioSpec,
-    model: Optional[CostModel] = None,
-    *,
-    trace: bool = False,
-) -> RunRecord:
+@contextlib.contextmanager
+def shared_cost_models() -> Iterator[None]:
+    """Share each named cost model between the runs inside the block.
+
+    The first spec naming a cost model builds it and later specs naming the
+    same model share the instance — and with it the model's length tables,
+    which is what makes a sweep of bound cells (experiment E3) cheap.  The
+    models live as long as the block: one sweep, never the process.
+    """
+    token = _SHARED_MODELS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_MODELS.reset(token)
+
+
+def run(spec: ScenarioSpec, *, trace: bool = False) -> RunRecord:
     """Execute one scenario and return its :class:`RunRecord`.
 
-    ``model`` optionally overrides the spec's named cost model with a live
-    instance — used by the experiment drivers, which accept model objects.
-    Sweeps shipped to worker processes rely on the spec alone.
+    The cost model is the one ``spec.cost_model`` names (see
+    :func:`build_cost_model`), so the record is a function of the spec alone.
 
     ``trace=True`` runs the scenario under a :class:`~repro.obs.trace.Tracer`
     and attaches the summarised payload as ``extra["trace"]`` on the returned
@@ -122,12 +125,12 @@ def run(
     spec.validate()
     started = time.perf_counter()
     if not trace:
-        record = _execute(spec, model)
+        record = _execute(spec)
     else:
         tracer = Tracer()
         with use_tracer(tracer):
             t0 = tracer.clock()
-            record = _execute(spec, model)
+            record = _execute(spec)
             tracer.add_span("run", t0)
         payload = tracer.finish().to_dict()
         record = dataclasses.replace(
@@ -143,10 +146,9 @@ def run(
     return record
 
 
-def _execute(spec: ScenarioSpec, model: Optional[CostModel]) -> RunRecord:
+def _execute(spec: ScenarioSpec) -> RunRecord:
     graph = build_graph(spec)
-    model = model if model is not None else build_cost_model(spec)
-    return PROBLEMS.create(spec.problem, spec, graph, model)
+    return PROBLEMS.create(spec.problem, spec, graph, build_cost_model(spec))
 
 
 # ----------------------------------------------------------------------

@@ -146,7 +146,7 @@ class ScenarioSpec:
         (e.g. the ``"figures"`` problem's trajectory ``kind`` and ``k``).
     cost_model:
         Cost-model name (a :data:`~repro.runtime.registry.COST_MODELS`
-        name); serial callers may instead pass a live model to ``run()``.
+        name): the exploration-sequence length ``P(k)`` the run uses.
     max_traversals, on_cost_limit:
         The engine budget and what to do when it is hit.
     """
@@ -335,6 +335,19 @@ _DIMENSIONS: Dict[str, Callable[[Any], Any]] = {
 }
 
 
+def _freeze_dimension(
+    name: str, freeze: Callable[[Any], Any], values: Iterable[Any]
+) -> Tuple[Any, ...]:
+    """Freeze every entry of one dimension; a bad entry names its field."""
+    frozen = []
+    for value in values:
+        try:
+            frozen.append(freeze(value))
+        except (TypeError, ValueError) as error:
+            raise ReproError(f"SweepSpec field {name!r} entry {value!r}: {error}") from None
+    return tuple(frozen)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of scenarios: the cartesian product of the listed dimensions.
@@ -368,7 +381,7 @@ class SweepSpec:
             # Anything but a list is left as it is for validate() to refuse:
             # a bare string is not split into a dimension of characters.
             if isinstance(values, Iterable) and not isinstance(values, (str, Mapping)):
-                object.__setattr__(self, name, tuple(freeze(value) for value in values))
+                object.__setattr__(self, name, _freeze_dimension(name, freeze, values))
 
     def __len__(self) -> int:
         return math.prod(len(getattr(self, name)) for name in _DIMENSIONS)

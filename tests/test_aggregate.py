@@ -221,7 +221,7 @@ class TestPipeline:
             apply_pipeline([record()], [{"op": "derive", "kind": "nope", "column": "x"}])
         assert "fit_power_law" in str(error.value)
 
-    def test_pinned_bound_model_wins_over_live_override(self, sim_model):
+    def test_pinned_bound_model_wins_over_the_default(self):
         from repro.exploration.cost_model import PaperCostModel
 
         records = [record(problem="rendezvous", size=4, labels=(3, 4))]
@@ -231,10 +231,10 @@ class TestPipeline:
             {"op": "derive", "kind": "guaranteed_bound", "column": "bound",
              "problem": "problem", "size": "n", "label": "label", "model": "paper"},
         ]
-        rows = apply_pipeline(records, pipeline, model=sim_model)
+        rows = apply_pipeline(records, pipeline)
         assert rows[0]["bound"] == PaperCostModel().pi_bound(4, 2)
 
-    def test_guaranteed_bound_uses_live_model_override(self, sim_model):
+    def test_guaranteed_bound_defaults_to_simulation(self, sim_model):
         records = [
             record(problem="rendezvous", size=4, labels=(3, 4)),
             record(problem="baseline", size=4, labels=(3, 4)),
@@ -245,7 +245,7 @@ class TestPipeline:
             {"op": "derive", "kind": "guaranteed_bound", "column": "bound",
              "problem": "problem", "size": "n", "label": "label"},
         ]
-        rows = apply_pipeline(records, pipeline, model=sim_model)
+        rows = apply_pipeline(records, pipeline)
         assert rows[0]["bound"] == sim_model.pi_bound(4, 2)
         assert rows[1]["bound"] == sim_model.baseline_trajectory_length(4, 3)
 

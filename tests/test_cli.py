@@ -258,9 +258,13 @@ class TestSweepSet:
             (["--set", "sizes"], "--set expects FIELD=VALUE, got 'sizes'"),
             (["--set", 'problems=["nope"]'], "unknown problem 'nope'"),
             (["--set", "sizes=[4,0]"], "graph size must be positive, got 0"),
+            (["--set", "label_sets=[6,11]"], "SweepSpec field 'label_sets' entry 6: "),
             (["--unit-size", "0"], "unit_size must be positive, got 0"),
         ],
-        ids=["bare-string", "unknown-field", "no-equals", "bad-cell", "bad-size", "unit-size-0"],
+        ids=[
+            "bare-string", "unknown-field", "no-equals", "bad-cell", "bad-size",
+            "bad-entry", "unit-size-0",
+        ],
     )
     def test_refusals_exit_2_and_create_nothing(
         self, tmp_path, capsys, command, extra, message
@@ -280,6 +284,14 @@ class TestSweepSet:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: a process pool needs at least 1 job, got 0\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_queue_with_zero_jobs_exits_2(self, tmp_path, capsys):
+        argv = self._argv("sweep", tmp_path) + ["--jobs", "0", "--executor", "queue"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: queue executor needs at least one worker, got 0\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["sweep", "queue-dispatch"])

@@ -12,7 +12,7 @@ from repro.cli import main
 from repro.distrib import Dispatcher, QueueExecutor, Worker, WorkQueue, unit_id
 from repro.exceptions import QueueError, ReproError
 from repro.obs.events import EventJournal, sweep_timeline
-from repro.runtime import ScenarioSpec, SweepSpec
+from repro.runtime import SweepSpec
 from repro.runtime.executors import make_executor, run_sweep
 from repro.runtime.runner import run
 from repro.store import FileStore, MemoryStore, merge_stores
@@ -487,14 +487,6 @@ class TestQueueExecutor:
         assert events == [(1, 2), (2, 2)]  # not inflated by the first sweep
         assert second.records == run_sweep(second_sweep).records
 
-    def test_rejects_live_model_override(self):
-        from repro.exploration.cost_model import SimulationCostModel
-
-        with pytest.raises(ReproError):
-            QueueExecutor(workers=1).map_specs(
-                [ScenarioSpec(size=4)], model=SimulationCostModel()
-            )
-
     def test_make_executor_kinds(self):
         from repro.runtime.executors import ProcessPoolExecutor, SerialExecutor
 
@@ -505,6 +497,10 @@ class TestQueueExecutor:
         queue_executor = make_executor(3, kind="queue", unit_size=2)
         assert isinstance(queue_executor, QueueExecutor)
         assert queue_executor.workers == 3 and queue_executor.unit_size == 2
+        assert make_executor(None, kind="queue").workers == 2
+        for jobs in (0, -3):
+            with pytest.raises(ReproError, match=f"at least one worker, got {jobs}"):
+                make_executor(jobs, kind="queue")
         with pytest.raises(ReproError):
             make_executor(2, kind="warp")
         with pytest.raises(ReproError):

@@ -47,20 +47,19 @@ class TestExperimentRegistry:
             run_experiment(spec)
 
 
-def run(name, model=None, **params):
-    return run_experiment(experiment_spec(name, **params), model=model)
+def run(name, **params):
+    return run_experiment(experiment_spec(name, **params))
 
 
 class TestGoldenTables:
     """Markdown output is byte-identical to the seed drivers' tables."""
 
-    def test_f1(self, sim_model):
-        assert run("F1", model=sim_model).render() == golden("f1")
+    def test_f1(self):
+        assert run("F1").render() == golden("f1")
 
-    def test_e1(self, sim_model):
+    def test_e1(self):
         result = run(
             "E1",
-            model=sim_model,
             sizes=(4, 6),
             families=("ring",),
             schedulers=("round_robin",),
@@ -68,29 +67,24 @@ class TestGoldenTables:
         )
         assert result.render() == golden("e1_quick")
 
-    def test_e2(self, sim_model):
-        result = run(
-            "E2", model=sim_model, small_labels=(1, 2), n=5, max_traversals=300_000
-        )
+    def test_e2(self):
+        result = run("E2", small_labels=(1, 2), n=5, max_traversals=300_000)
         assert result.render() == golden("e2_quick")
 
     def test_e3_quick(self):
-        result = run(
-            "E3", model=PaperCostModel(), sizes=(2, 4, 8), labels=(1, 2, 4, 8, 16)
-        )
+        result = run("E3", sizes=(2, 4, 8), labels=(1, 2, 4, 8, 16))
         assert result.render() == golden("e3_quick")
 
     def test_e3_full_defaults(self):
         assert run("E3").render() == golden("e3_full")
 
-    def test_e4(self, sim_model):
-        result = run("E4", model=sim_model, sizes=(4,), families=("ring", "path"))
+    def test_e4(self):
+        result = run("E4", sizes=(4,), families=("ring", "path"))
         assert result.render() == golden("e4_quick")
 
-    def test_e5(self, sim_model):
+    def test_e5(self):
         result = run(
             "E5",
-            model=sim_model,
             family="ring",
             n=6,
             patiences=(4, 16),
@@ -99,10 +93,8 @@ class TestGoldenTables:
         assert result.render() == golden("e5_quick")
 
     @pytest.mark.sgl
-    def test_e6(self, sim_model):
-        result = run(
-            "E6", model=sim_model, sizes=(4,), team_sizes=(2,), max_traversals=4_000_000
-        )
+    def test_e6(self):
+        result = run("E6", sizes=(4,), team_sizes=(2,), max_traversals=4_000_000)
         assert result.render() == golden("e6_quick")
 
 
@@ -113,8 +105,8 @@ class TestCompatWrappers:
     stay stable across the port.)
     """
 
-    def test_f1_covers_all_four_figures(self, sim_model):
-        result = run("F1", model=sim_model, ks=(1, 2))
+    def test_f1_covers_all_four_figures(self):
+        result = run("F1", ks=(1, 2))
         figures = {row["figure"] for row in result.rows}
         assert figures == {"Figure 1", "Figure 2", "Figure 3", "Figure 4"}
         assert len(result.rows) == 4 * 2
@@ -122,10 +114,9 @@ class TestCompatWrappers:
         table = result.render()
         assert "trunk nodes" in table and "Figure 3" in table
 
-    def test_e1_rows(self, sim_model):
+    def test_e1_rows(self):
         rows = run(
             "E1",
-            model=sim_model,
             sizes=(4, 6),
             families=("ring",),
             schedulers=("round_robin",),
@@ -135,10 +126,8 @@ class TestCompatWrappers:
         assert all(row["met"] for row in rows)
         assert {row["algorithm"] for row in rows} == {"rv_asynch_poly", "baseline"}
 
-    def test_e2_guarantees_behave_as_the_paper_says(self, sim_model):
-        rows = run(
-            "E2", model=sim_model, small_labels=(1, 2), n=5, max_traversals=300_000
-        ).rows
+    def test_e2_guarantees_behave_as_the_paper_says(self):
+        rows = run("E2", small_labels=(1, 2), n=5, max_traversals=300_000).rows
         assert len(rows) == 4
         rv = [row for row in rows if row["algorithm"] == "rv_asynch_poly"]
         baseline = [row for row in rows if row["algorithm"] == "baseline"]
@@ -149,36 +138,29 @@ class TestCompatWrappers:
         assert rv[0]["guaranteed_bound"] <= rv[1]["guaranteed_bound"]
 
     def test_e3_classifications(self):
-        result = run(
-            "E3", model=PaperCostModel(), sizes=(2, 4, 8), labels=(1, 2, 4, 8, 16)
-        )
+        result = run("E3", sizes=(2, 4, 8), labels=(1, 2, 4, 8, 16))
         assert len(result.rows) == 15
         table = result.render()
         assert "polynomial" in table and "exponential" in table
         # The degree of P(k) carries over into the degree of Pi(n, 2) in n.
+        sizes = (4, 8, 16, 32)
         degrees = []
         for exponent in (1, 2, 3):
-            rows = run(
-                "E3",
-                model=PaperCostModel(length_coefficient=1, length_exponent=exponent),
-                sizes=(4, 8, 16, 32),
-                labels=(2,),
-            ).rows
-            fit = fit_power_law([row["n"] for row in rows], [row["rv_bound"] for row in rows])
+            model = PaperCostModel(length_coefficient=1, length_exponent=exponent)
+            fit = fit_power_law(sizes, [model.pi_bound(n, 2) for n in sizes])
             degrees.append(fit.slope)
         assert degrees == sorted(degrees) and degrees[0] < degrees[-1]
 
-    def test_e4_phases_within_bound(self, sim_model):
-        rows = run("E4", model=sim_model, sizes=(4,), families=("ring", "path")).rows
+    def test_e4_phases_within_bound(self):
+        rows = run("E4", sizes=(4,), families=("ring", "path")).rows
         assert len(rows) == 2
         assert all(row["all_edges_traversed"] for row in rows)
         assert all(row["final_phase"] <= row["phase_bound"] for row in rows)
 
-    def test_e5_patience_sweep(self, sim_model):
+    def test_e5_patience_sweep(self):
         for family, seed in (("ring", 0), ("erdos_renyi", 3)):
             rows = run(
                 "E5",
-                model=sim_model,
                 family=family,
                 n=6,
                 patiences=(4, 16),

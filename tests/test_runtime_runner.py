@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiment_spec import experiment_spec
+from repro.analysis.aggregate import apply_pipeline
+from repro.analysis.experiment_spec import (
+    aggregate_from_store,
+    experiment_spec,
+    run_experiment,
+)
+from repro.distrib.executor import QueueExecutor
 from repro.exceptions import ReproError
 from repro.exploration.cost_model import PaperCostModel, SimulationCostModel
 from repro.runtime import COST_MODELS, RunRecord, ScenarioSpec, SweepSpec, SweepResult
@@ -16,6 +22,7 @@ from repro.runtime.executors import (
 )
 from repro.runtime.runner import build_graph, build_scheduler, run
 from repro.sim.schedulers import GreedyAvoidingScheduler, RandomScheduler
+from repro.store import MemoryStore
 
 #: A small grid that exercises both problems and a seeded scheduler but
 #: still runs in well under a second per cell.
@@ -183,10 +190,6 @@ class TestOneCostModelPerSweep:
         run_sweep(MIXED_MODEL_CELLS + MIXED_MODEL_CELLS)
         assert created_models == ["simulation", "paper"]
 
-    def test_live_override_builds_no_model(self, created_models):
-        run_sweep(MIXED_MODEL_CELLS, model=SimulationCostModel())
-        assert created_models == []
-
     @pytest.mark.parametrize(
         "cells",
         [experiment_spec("E3").cell_specs(), MIXED_MODEL_CELLS],
@@ -207,11 +210,48 @@ class TestOneCostModelPerSweep:
         ]
         assert result.bound_ratios() == expected
         assert expected[0] != expected[1]
-        override = SimulationCostModel().pi_bound(4, 1)
-        assert result.bound_ratios(model=SimulationCostModel()) == [
-            override / simulation.cost,
-            override / paper.cost,
+
+
+class TestCostModelHasOneSource:
+    """A cell's cost model is the one its spec names, so a stored record is
+    what a fresh run of its spec returns."""
+
+    def test_stored_records_equal_fresh_runs(self):
+        cells = experiment_spec("E3").cell_specs()
+        store = MemoryStore()
+        run_sweep(cells, store=store)
+        warm = run_sweep(cells, store=store)
+        assert warm.cache_hits == len(cells) and warm.executed == 0
+        assert [record.to_json() for record in warm] == [
+            run(spec).to_json() for spec in cells
         ]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda model: run(ScenarioSpec(size=4), model=model),
+            lambda model: run_sweep([], model=model),
+            lambda model: run_experiment("E3", model=model),
+            lambda model: aggregate_from_store("E3", MemoryStore(), model=model),
+            lambda model: apply_pipeline([], [], model=model),
+            lambda model: SerialExecutor().map_specs([], model=model),
+            lambda model: ProcessPoolExecutor(1).map_specs([], model=model),
+            lambda model: QueueExecutor(workers=1).map_specs([], model=model),
+        ],
+        ids=[
+            "run",
+            "run_sweep",
+            "run_experiment",
+            "aggregate_from_store",
+            "apply_pipeline",
+            "serial.map_specs",
+            "pool.map_specs",
+            "queue.map_specs",
+        ],
+    )
+    def test_model_keyword_is_refused(self, call):
+        with pytest.raises(TypeError, match="model"):
+            call(SimulationCostModel())
 
 
 class TestBudgetClamp:

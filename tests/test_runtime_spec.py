@@ -187,3 +187,17 @@ class TestSweepSpec:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ReproError):
             SweepSpec.from_dict({"sizes": [4], "warp": 9})
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("label_sets", [6, 11], "SweepSpec field 'label_sets' entry 6: "),
+            ("team_sizes", ["x"], "SweepSpec field 'team_sizes' entry 'x': "),
+            ("sizes", ["a"], "SweepSpec field 'sizes' entry 'a': "),
+        ],
+        ids=["label_sets", "team_sizes", "sizes"],
+    )
+    def test_malformed_entry_names_its_field(self, field, value, message):
+        with pytest.raises(ReproError) as error:
+            SweepSpec.from_dict({field: value})
+        assert str(error.value).startswith(message)
