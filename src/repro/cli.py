@@ -114,7 +114,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from .analysis.experiment_spec import (
     EXPERIMENTS,
@@ -133,7 +133,7 @@ from .obs.analytics import (
     trace_of,
     trace_top,
 )
-from .obs.events import fleet_summary, format_event, format_fleet
+from .obs.events import format_event, format_fleet
 from .obs.metrics import MetricsRegistry, enable_metrics, set_registry
 from .obs.profile import format_profile
 from .runtime import (
@@ -914,14 +914,13 @@ def _run_queue(args: argparse.Namespace) -> int:
         )
         return 0
     if args.queue_command == "status":
-        queue = WorkQueue(args.queue)
-        status = queue.status()
-        workers = _worker_observability(queue, args.lease_ttl)
+        fleet = WorkQueue(args.queue).fleet(args.lease_ttl)
+        status = fleet["queue"]
         drained = status["units"] == status["done"] + status["cancelled"]
         if args.json:
             print(
                 json.dumps(
-                    {**status, "drained": drained, "heartbeats": workers},
+                    {**status, "drained": drained, "heartbeats": fleet["workers"]},
                     indent=2,
                     sort_keys=True,
                 )
@@ -942,76 +941,26 @@ def _run_queue(args: argparse.Namespace) -> int:
         print(
             f"leases: {status['steals']} stolen, {status['expired']} expired"
         )
-        for entry in workers:
+        for entry in fleet["workers"]:
             stale = "  STALE (heartbeat older than the lease TTL)" if entry["stale"] else ""
             last_event = (
                 f", last event {entry['last_event_age']:.0f}s ago"
-                if entry.get("last_event_age") is not None
+                if entry["last_event_age"] is not None
                 else ""
             )
             print(
                 f"worker {entry['worker']}: heartbeat "
-                f"{entry['heartbeat_age']:.0f}s ago{last_event}{stale}"
+                f"{entry['age']:.0f}s ago{last_event}{stale}"
             )
         return 0 if drained else 1
     return 2  # pragma: no cover (argparse enforces the sub-command)
-
-
-def _worker_observability(
-    queue: WorkQueue, lease_ttl: float, now: Optional[float] = None
-) -> List[Dict[str, Any]]:
-    """Per-worker heartbeat age / last-event timestamp / staleness rows.
-
-    The ``repro queue status`` (and ``--json``) observability section: one
-    entry per worker that ever heartbeat into the queue's journal, flagged
-    ``stale`` when the heartbeat is older than the lease TTL — the same
-    threshold after which the worker's leases become stealable.
-    """
-    now = time.time() if now is None else now
-    journal = queue.journal()
-    beats = journal.latest_heartbeats()
-    last_by_worker: Dict[str, float] = {}
-    for event in journal.events():
-        name = event.get("worker") or event.get("writer")
-        if name:
-            last_by_worker[name] = max(
-                last_by_worker.get(name, 0.0), float(event.get("ts", 0.0))
-            )
-    rows: List[Dict[str, Any]] = []
-    for name in sorted(beats):
-        beat = beats[name]
-        beat_ts = float(beat.get("ts", 0.0))
-        age = max(0.0, now - beat_ts)
-        last_ts = last_by_worker.get(name)
-        rows.append(
-            {
-                "worker": name,
-                "heartbeat_ts": beat_ts,
-                "heartbeat_age": round(age, 3),
-                "last_event_ts": last_ts,
-                "last_event_age": (
-                    round(max(0.0, now - last_ts), 3) if last_ts else None
-                ),
-                "unit": beat.get("unit"),
-                "phase": beat.get("phase"),
-                "stale": age > lease_ttl,
-            }
-        )
-    return rows
 
 
 def _run_top(args: argparse.Namespace) -> int:
     queue = WorkQueue(args.queue)
 
     def snapshot() -> str:
-        journal = queue.journal()
-        summary = fleet_summary(
-            queue.status(),
-            journal.latest_heartbeats(),
-            events=journal.events(),
-            lease_ttl=args.lease_ttl,
-        )
-        return format_fleet(summary)
+        return format_fleet(queue.fleet(args.lease_ttl))
 
     if args.once:
         print(snapshot())
@@ -1124,8 +1073,8 @@ def _run_experiment(args: argparse.Namespace) -> int:
     if not specs:
         print("error: name an experiment, or pass --spec / --list", file=sys.stderr)
         return 2
-    store = None if args.store is None else FileStore(args.store)
     executor = make_executor(args.jobs, kind=args.executor)
+    store = None if args.store is None else FileStore(args.store)
     try:
         # Each table prints as soon as it is ready, so a failure in a later
         # experiment never discards the finished work of earlier ones.

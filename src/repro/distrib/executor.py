@@ -28,7 +28,6 @@ from ..exceptions import QueueError, ReproError
 from ..runtime.executors import Executor, ProgressCallback
 from ..runtime.records import RunRecord
 from ..runtime.spec import ScenarioSpec
-from ..store.filestore import FileStore
 from .dispatcher import DEFAULT_UNIT_SIZE, Dispatcher
 from .queue import WorkQueue
 from .worker import DEFAULT_LEASE_TTL
@@ -149,21 +148,9 @@ class QueueExecutor(Executor):
     # ------------------------------------------------------------------
     @staticmethod
     def _collect(queue: WorkQueue, keys: List[str]) -> Dict[str, RunRecord]:
-        """Look ``keys`` up across every worker shard of the queue."""
-        found: Dict[str, RunRecord] = {}
-        for shard_dir in queue.result_store_dirs():
-            missing = [key for key in keys if key not in found]
-            if not missing:
-                break
-            try:
-                with FileStore(shard_dir, create=False, salvage=True) as store:
-                    for key in missing:
-                        record = store.get(key)
-                        if record is not None:
-                            found[key] = record
-            except ReproError:
-                continue
-        return found
+        """Look ``keys`` up across every worker shard of the queue; a method
+        of its own so a tracer can time record collection."""
+        return queue.find_records(keys)
 
     # ------------------------------------------------------------------
     # Executor interface

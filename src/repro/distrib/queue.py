@@ -6,10 +6,12 @@ Layout of a queue directory::
     ├── queue.meta.json        # format + spec-key versions
     ├── units/<id>.json        # one work unit: its cells and their keys
     ├── claims/<id>.json       # live lease: {"worker", "created", "expires"}
-    ├── done/<id>.json         # completion: keys + executed/salvaged counts
+    ├── done/<id>.json         # completion: keys, worker, executed/salvaged/
+    │                          #   cached counts (or a "cancelled" tombstone)
     ├── results/<worker>/      # one FileStore per worker (its "shard")
     ├── logs/<worker>.log      # stdout/stderr of executor-spawned workers
     ├── journal/               # event journal: the only record of history
+    ├── jobs/<job>.json        # sweep jobs of the serve tier (repro.serve.jobs)
     └── .steal.lock            # advisory flock serialising lease steals
 
 Unit ids are **content keys**: the sha256 of the ordered cell-key list.  Two
@@ -35,7 +37,14 @@ The claim protocol needs nothing beyond POSIX file semantics:
 
 Claim and done files hold only live state.  History — who claimed a unit,
 which leases expired and were stolen from whom — lives in the event journal
-alone, and :meth:`WorkQueue.status` reads steal counts from there.
+alone, and the steal counts are read from there.
+
+Each fact of the read side has one reader.  :meth:`WorkQueue.unit_states`
+classifies units (pending / claimed / done / cancelled); :meth:`~WorkQueue.status`
+is a fold over it, for the whole queue or one job's units.
+:meth:`~WorkQueue.fleet` is the per-worker view of every fleet display, and
+:meth:`~WorkQueue.find_records` the one lookup of records in worker shards
+(salvage and collection alike).
 """
 
 from __future__ import annotations
@@ -54,10 +63,18 @@ try:  # pragma: no cover - fcntl is present on every POSIX platform we run on
 except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
-from ..exceptions import QueueError
-from ..obs.events import JOURNAL_DIR_NAME, EventJournal, sweep_timeline
+from ..exceptions import QueueError, ReproError
+from ..obs.events import (
+    JOURNAL_DIR_NAME,
+    EventJournal,
+    atomic_write_json,
+    fleet_summary,
+    sweep_timeline,
+)
 from ..obs.metrics import get_registry
+from ..runtime.records import RunRecord
 from ..runtime.spec import SPEC_KEY_VERSION, ScenarioSpec, canonical_json
+from ..store.filestore import FileStore
 
 __all__ = ["WorkQueue", "WorkUnit", "unit_id", "QUEUE_FORMAT_VERSION"]
 
@@ -79,15 +96,6 @@ def unit_id(keys: Sequence[str]) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
-def _atomic_write_json(path: Path, payload: Dict[str, Any]) -> None:
-    tmp = path.with_suffix(path.suffix + f".tmp-{os.getpid()}")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-
-
 def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     """Read a small JSON file; ``None`` when missing or (transiently) invalid."""
     try:
@@ -95,6 +103,10 @@ def _read_json(path: Path) -> Optional[Dict[str, Any]]:
     except (OSError, json.JSONDecodeError):
         return None
     return data if isinstance(data, dict) else None
+
+
+def _subdirs(root: Path) -> List[Path]:
+    return sorted(path for path in root.glob("*") if path.is_dir())
 
 
 @dataclass(frozen=True)
@@ -134,7 +146,7 @@ class WorkQueue:
         elif create:
             for sub in (_UNITS_DIR, _CLAIMS_DIR, _DONE_DIR, _RESULTS_DIR, _LOGS_DIR):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
-            _atomic_write_json(
+            atomic_write_json(
                 self._meta_path,
                 {
                     "format_version": QUEUE_FORMAT_VERSION,
@@ -177,9 +189,41 @@ class WorkQueue:
 
     def result_store_dirs(self) -> List[Path]:
         """Every worker shard directory currently present, sorted by name."""
-        if not self.results_root.exists():
-            return []
-        return sorted(path for path in self.results_root.iterdir() if path.is_dir())
+        return _subdirs(self.results_root)
+
+    def find_records(
+        self,
+        keys: Sequence[str],
+        skip: Optional[Path] = None,
+        *,
+        root: Optional[Path] = None,
+    ) -> Dict[str, RunRecord]:
+        """``{key: record}`` for every key of ``keys`` a worker shard holds.
+
+        Visits :meth:`result_store_dirs` (or the shard directories under
+        ``root``, a worker's own ``--store`` root) in name order, leaves out
+        the shard ``skip``, and stops as soon as every key is found.  Shards
+        open tolerantly: a killed worker's shard may end in a truncated line
+        (always dropped) or, after genuine disk trouble, hold corrupt lines,
+        which salvage mode skips; a directory that is not (yet) a store is
+        skipped whole.  One damaged shard never wedges the fleet.
+        """
+        found: Dict[str, RunRecord] = {}
+        for shard in _subdirs(self.results_root if root is None else Path(root)):
+            missing = [key for key in keys if key not in found]
+            if not missing:
+                break
+            if shard == skip:
+                continue
+            try:
+                with FileStore(shard, create=False, salvage=True) as store:
+                    for key in missing:
+                        record = store.get(key)
+                        if record is not None:
+                            found[key] = record
+            except ReproError:
+                continue
+        return found
 
     # ------------------------------------------------------------------
     # event journal
@@ -246,7 +290,7 @@ class WorkQueue:
         path = self.unit_path(uid)
         if path.exists():
             return uid, False
-        _atomic_write_json(
+        atomic_write_json(
             path,
             {
                 "unit": uid,
@@ -300,7 +344,7 @@ class WorkQueue:
                 for counter in ("total", "executed", "salvaged", "cached")
             },
         )
-        _atomic_write_json(self.done_path(uid), payload)
+        atomic_write_json(self.done_path(uid), payload)
 
     # ------------------------------------------------------------------
     # claims / leases
@@ -370,7 +414,7 @@ class WorkQueue:
                 return True
             return False
         if claim.get("worker") == worker:
-            _atomic_write_json(
+            atomic_write_json(
                 self.claim_path(uid),
                 {"unit": uid, "worker": worker, "created": now, "expires": now + ttl},
             )
@@ -425,7 +469,7 @@ class WorkQueue:
         claim = self.read_claim(uid)
         if claim is None or claim.get("worker") != worker:
             return False
-        _atomic_write_json(
+        atomic_write_json(
             self.claim_path(uid),
             {
                 "unit": uid,
@@ -541,57 +585,54 @@ class WorkQueue:
             states.append(entry)
         return states
 
-    def status(self, now: Optional[float] = None) -> Dict[str, Any]:
-        """Aggregate queue state: unit/cell counts and execution totals.
+    def status(
+        self, uids: Optional[Sequence[str]] = None, now: Optional[float] = None
+    ) -> Dict[str, Any]:
+        """Aggregate state of ``uids`` (default: every unit): a fold over
+        :meth:`unit_states`, so the counts and the per-unit view never
+        disagree.
 
-        ``executed`` sums the done markers' execution counts — over a full
+        ``executed`` sums the done units' execution counts — over a full
         drain it equals the number of cells that were actually computed, so
         ``executed == cells`` certifies a duplicate-free distributed run.
 
-        ``steals`` counts the journal's steal claims (see :meth:`try_claim`),
-        and ``expired`` counts units whose claim file has outlived its lease
-        without being stolen yet — together the post-hoc evidence of worker
-        deaths during the run.
+        ``steals`` counts the journal's steal claims on ``uids`` (see
+        :meth:`try_claim`), a released pending unit's too, and ``expired``
+        counts units whose claim file has outlived its lease without being
+        stolen yet — together the post-hoc evidence of worker deaths during
+        the run.  ``workers`` counts the shard directories under
+        ``results/``.
         """
-        now = time.time() if now is None else now
-        uids = self.units()
-        cells = 0
-        done_units = cancelled_units = 0
-        executed = salvaged = cached = 0
-        claimed_active = 0
-        pending = 0
-        expired = 0
-        for uid in uids:
-            data = _read_json(self.unit_path(uid))
-            cells += len(data.get("keys", ())) if data else 0
-            done = self.read_done(uid)
-            if done is not None:
-                if done.get("cancelled"):
-                    cancelled_units += 1
-                    continue
-                done_units += 1
-                executed += int(done.get("executed", 0))
-                salvaged += int(done.get("salvaged", 0))
-                cached += int(done.get("cached", 0))
-                continue
-            claim = self.read_claim(uid)
-            if claim is not None and float(claim.get("expires", 0.0)) > now:
-                claimed_active += 1
-            else:
-                pending += 1
-                if claim is not None:
-                    expired += 1
+        uids = self.units() if uids is None else list(uids)
+        states = self.unit_states(uids, now=now)
+        counts = {state: 0 for state in ("done", "cancelled", "claimed", "pending")}
+        for entry in states:
+            counts[entry["state"]] += 1
+        finished = [entry for entry in states if entry["state"] == "done"]
+        steals = self._steal_counts()
         return {
-            "units": len(uids),
-            "cells": cells,
-            "done": done_units,
-            "cancelled": cancelled_units,
-            "claimed": claimed_active,
-            "pending": pending,
-            "executed": executed,
-            "salvaged": salvaged,
-            "cached": cached,
-            "steals": sum(self._steal_counts().get(uid, 0) for uid in uids),
-            "expired": expired,
+            "units": len(states),
+            "cells": sum(entry["cells"] for entry in states),
+            **counts,
+            **{
+                counter: sum(entry[counter] for entry in finished)
+                for counter in ("executed", "salvaged", "cached")
+            },
+            "steals": sum(steals.get(uid, 0) for uid in uids),
+            "expired": sum(1 for entry in states if entry.get("lease_expired")),
             "workers": len(self.result_store_dirs()),
         }
+
+    def fleet(self, lease_ttl: float, now: Optional[float] = None) -> Dict[str, Any]:
+        """The fleet view (:func:`~repro.obs.events.fleet_summary`) of this
+        queue: :meth:`status`, the latest heartbeats and the journal's
+        events.  ``repro queue status``, ``repro top`` and ``GET /fleet``
+        all read it, so their per-worker rows cannot disagree."""
+        journal = self.journal()
+        return fleet_summary(
+            self.status(now=now),
+            journal.latest_heartbeats(),
+            events=journal.events(),
+            lease_ttl=lease_ttl,
+            now=now,
+        )

@@ -24,7 +24,6 @@ import time
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Union
 
-from ..exceptions import ReproError, StoreError
 from ..obs.events import EventJournal, check_writer_name
 from ..obs.metrics import get_registry
 from ..runtime.executors import SerialExecutor, run_sweep
@@ -171,32 +170,12 @@ class Worker:
     # salvage
     # ------------------------------------------------------------------
     def _salvage(self, unit: WorkUnit, own: FileStore) -> Dict[str, RunRecord]:
-        """Records for the unit's cells found in *sibling* worker shards.
-
-        Opened tolerantly: a killed sibling's shard may end in a truncated
-        line (always dropped) or — after genuine disk trouble — hold corrupt
-        lines, which salvage mode skips rather than letting one damaged
-        shard wedge the whole fleet.
-        """
+        """Records for the unit's cells found in *sibling* worker shards
+        (see :meth:`WorkQueue.find_records` for how damaged ones are read)."""
         wanted = [key for key in unit.keys if own.get(key) is None]
-        found: Dict[str, RunRecord] = {}
-        if not wanted:
-            return found
-        for sibling_dir in sorted(self.results_root.iterdir() if self.results_root.exists() else []):
-            if not sibling_dir.is_dir() or sibling_dir == self.store_dir:
-                continue
-            try:
-                with FileStore(sibling_dir, create=False, salvage=True) as sibling:
-                    for key in wanted:
-                        if key not in found:
-                            record = sibling.get(key)
-                            if record is not None:
-                                found[key] = record
-            except StoreError:
-                continue  # not (yet) a store, or unreadable — skip
-            if len(found) == len(wanted):
-                break
-        return found
+        return self.queue.find_records(
+            wanted, skip=self.store_dir, root=self.results_root
+        )
 
     # ------------------------------------------------------------------
     # unit execution

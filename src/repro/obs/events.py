@@ -59,6 +59,7 @@ __all__ = [
     "EventJournal",
     "EVENT_SCHEMA_VERSION",
     "JOURNAL_DIR_NAME",
+    "atomic_write_json",
     "check_writer_name",
     "sweep_timeline",
     "executed_cells",
@@ -90,7 +91,10 @@ def check_writer_name(name: str, what: str = "journal writer name") -> str:
     return name
 
 
-def _atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
+def atomic_write_json(path: Path, payload: Mapping[str, Any]) -> None:
+    """Write ``payload`` as one sorted, compact JSON line via a pid-suffixed
+    temp file and ``os.replace``: readers never see it half-written, and
+    concurrent writers never share a temp file."""
     tmp = path.with_suffix(path.suffix + f".tmp-{os.getpid()}")
     tmp.write_text(
         json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
@@ -211,7 +215,7 @@ class EventJournal:
         """
         event = self.append("worker.heartbeat", **fields)
         self.heartbeat_root.mkdir(parents=True, exist_ok=True)
-        _atomic_write_json(self.heartbeat_root / f"{self.writer}.json", event)
+        atomic_write_json(self.heartbeat_root / f"{self.writer}.json", event)
         return event
 
     def close(self) -> None:
@@ -432,22 +436,46 @@ def fleet_summary(
 
     Duck-typed on purpose — ``status`` is :meth:`WorkQueue.status`'s dict,
     ``heartbeats`` is :meth:`EventJournal.latest_heartbeats`'s, ``events``
-    an optional event list for throughput/ETA — so this module needs no
+    an optional event list for throughput, ETA and last-event ages — so this module needs no
     import from :mod:`repro.distrib` (which imports :mod:`repro.obs`).
 
     Workers whose heartbeat is older than ``lease_ttl`` are flagged
     ``stale`` (the same threshold after which their leases become
-    stealable).  Throughput is measured over the ``cell.done`` events and
+    stealable).  A worker's ``last_event_age`` is the age of the newest
+    event whose ``worker`` (else ``writer``) names it, ``None`` without
+    ``events``.  Throughput is measured over the ``cell.done`` events and
     the ETA extrapolates it over the cells not yet accounted for.
     """
     now = time.time() if now is None else now
+    last_seen: Dict[str, float] = {}
+    done_ts: List[float] = []
+    cell_seconds: List[float] = []
+    for event in events or ():
+        ts = float(event.get("ts", 0.0))
+        name = event.get("worker") or event.get("writer")
+        if name:
+            last_seen[name] = max(last_seen.get(name, 0.0), ts)
+        if event.get("type") != "cell.done":
+            continue
+        done_ts.append(ts)
+        seconds = event.get("seconds")
+        if isinstance(seconds, (int, float)):
+            cell_seconds.append(float(seconds))
+    cells_per_sec = None
+    if len(done_ts) >= 2:
+        window = max(done_ts) - min(done_ts)
+        if window > 0:
+            cells_per_sec = round((len(done_ts) - 1) / window, 3)
+
     workers = []
     for name in sorted(heartbeats):
         beat = heartbeats[name]
         age = max(0.0, now - float(beat.get("ts", 0.0)))
+        last = last_seen.get(name)
         entry: Dict[str, Any] = {
             "worker": name,
             "age": round(age, 3),
+            "last_event_age": round(max(0.0, now - last), 3) if last else None,
             "pid": beat.get("pid"),
             "host": beat.get("host"),
             "unit": beat.get("unit"),
@@ -459,22 +487,7 @@ def fleet_summary(
             entry["stale"] = age > lease_ttl
         workers.append(entry)
 
-    cells_per_sec = None
     eta = None
-    cell_seconds: List[float] = []
-    if events is not None:
-        done_ts = []
-        for event in events:
-            if event.get("type") != "cell.done":
-                continue
-            done_ts.append(float(event.get("ts", 0.0)))
-            seconds = event.get("seconds")
-            if isinstance(seconds, (int, float)):
-                cell_seconds.append(float(seconds))
-        if len(done_ts) >= 2:
-            window = max(done_ts) - min(done_ts)
-            if window > 0:
-                cells_per_sec = round((len(done_ts) - 1) / window, 3)
     total_cells = int(status.get("cells", 0))
     accounted = sum(int(status.get(k, 0)) for k in ("executed", "salvaged", "cached"))
     remaining = max(0, total_cells - accounted)

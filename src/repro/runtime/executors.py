@@ -167,8 +167,9 @@ def make_executor(
     """Build an executor by ``kind``: ``"serial"``, ``"pool"`` or ``"queue"``.
 
     With ``kind=None`` (the historical signature) the choice follows
-    ``jobs``: ≤ 1 (or ``None``) → serial; otherwise a pool of ``jobs``
-    workers.  ``kind="queue"`` builds a
+    ``jobs``: 1 (or ``None``) → serial; otherwise a pool of ``jobs``
+    workers.  A ``jobs`` below 1 is refused (:class:`ReproError`) whenever
+    it would size a pool or a fleet.  ``kind="queue"`` builds a
     :class:`~repro.distrib.executor.QueueExecutor` with ``jobs`` worker
     processes (``None`` → 2); ``options`` (``queue_dir``, ``unit_size``,
     ``lease_ttl``, …) pass through to it.
@@ -179,18 +180,14 @@ def make_executor(
         return QueueExecutor(workers=2 if jobs is None else jobs, **options)
     if options:
         raise ReproError(f"executor kind {kind!r} takes no options: {sorted(options)}")
-    if kind == "serial":
+    if kind == "serial" or (kind is None and jobs in (None, 1)):
         return SerialExecutor()
-    if kind == "pool":
-        if jobs is not None and jobs < 1:
-            raise ReproError(f"a process pool needs at least 1 job, got {jobs}")
-        return ProcessPoolExecutor(max_workers=jobs)
-    if kind is not None:
+    if kind not in ("pool", None):
         raise ReproError(
             f"unknown executor kind {kind!r}; choose serial, pool or queue"
         )
-    if jobs is None or jobs <= 1:
-        return SerialExecutor()
+    if jobs is not None and jobs < 1:
+        raise ReproError(f"a process pool needs at least 1 job, got {jobs}")
     return ProcessPoolExecutor(max_workers=jobs)
 
 

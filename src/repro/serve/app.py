@@ -64,7 +64,6 @@ from ..distrib.dispatcher import DEFAULT_UNIT_SIZE
 from ..distrib.queue import WorkQueue
 from ..distrib.worker import DEFAULT_LEASE_TTL
 from ..exceptions import QueueError, ReproError
-from ..obs.events import fleet_summary
 from ..obs.metrics import MetricsRegistry
 from ..runtime.records import RunRecord
 from ..runtime.spec import SweepSpec
@@ -602,15 +601,7 @@ class ResultService:
 
     def _fleet(self) -> Response:
         """The live fleet: ``repro top``'s JSON twin."""
-        queue = self._need_jobs().queue
-        journal = queue.journal()
-        summary = fleet_summary(
-            queue.status(),
-            journal.latest_heartbeats(),
-            events=journal.events(),
-            lease_ttl=DEFAULT_LEASE_TTL,
-        )
-        return _json_response(summary)
+        return _json_response(self._need_jobs().queue.fleet(DEFAULT_LEASE_TTL))
 
 
 # ----------------------------------------------------------------------

@@ -11,9 +11,11 @@ queuing duplicate work.
 The service never executes sweep cells itself — workers (``repro worker
 --queue DIR``) drain the units into their own shards, and a ``repro store
 merge`` (or shard shipping) folds the records into the serving store.  The
-job layer only *observes*: status and progress are pure reads of the
-queue's unit / claim / done files, and cancel tombstones unclaimed units
-through :meth:`~repro.distrib.queue.WorkQueue.cancel_unit`.
+job layer only *observes*: status is
+:meth:`~repro.distrib.queue.WorkQueue.status` over the job's units and
+progress their :meth:`~repro.distrib.queue.WorkQueue.unit_states`, and
+cancel tombstones unclaimed units through
+:meth:`~repro.distrib.queue.WorkQueue.cancel_unit`.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import Any, Dict, List, Optional, Union
 from ..distrib.dispatcher import DEFAULT_UNIT_SIZE, Dispatcher
 from ..distrib.queue import WorkQueue
 from ..exceptions import QueueError
+from ..obs.events import atomic_write_json
 from ..runtime.spec import SweepSpec, canonical_json
 from ..store.base import ResultStore
 
@@ -97,12 +100,7 @@ class SweepJobs:
         }
         path = self.job_path(jid)
         if not path.exists():
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(
-                json.dumps(job, sort_keys=True, separators=(",", ":")) + "\n",
-                encoding="utf-8",
-            )
-            tmp.replace(path)
+            atomic_write_json(path, job)
             self._emit(
                 "job.submit",
                 job=jid,
@@ -150,25 +148,21 @@ class SweepJobs:
         ``cancelled`` (no work left, but some units were tombstoned).
         """
         job = self.load(jid)
-        states = self.queue.unit_states(job["unit_ids"], now=now)
-        counts = {
-            "units": len(states),
-            "done": sum(1 for s in states if s["state"] == "done"),
-            "cancelled": sum(1 for s in states if s["state"] == "cancelled"),
-            "claimed": sum(1 for s in states if s["state"] == "claimed"),
-            "pending": sum(1 for s in states if s["state"] == "pending"),
-        }
-        finished = [s for s in states if s["state"] == "done"]
+        status = self.queue.status(job["unit_ids"], now=now)
         return {
             "job": jid,
-            "state": self._state_of(counts),
-            "units": counts,
+            "state": self._state_of(status),
+            "units": {
+                state: status[state]
+                for state in ("units", "done", "cancelled", "claimed", "pending")
+            },
             "cells": {
                 "total": job["cells"],
                 "skipped_cached": job["skipped_cached"],
-                "executed": sum(s["executed"] for s in finished),
-                "salvaged": sum(s["salvaged"] for s in finished),
-                "cached": sum(s["cached"] for s in finished),
+                **{
+                    counter: status[counter]
+                    for counter in ("executed", "salvaged", "cached")
+                },
             },
         }
 

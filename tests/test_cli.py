@@ -286,6 +286,26 @@ class TestSweepSet:
         assert captured.err == "error: a process pool needs at least 1 job, got 0\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--set", "sizes=[4]", "--quiet", "--jobs", "-3"],
+            ["experiment", "E1", "--jobs", "-3"],
+            ["experiment", "E1", "--jobs", "0", "--executor", "pool"],
+        ],
+        ids=["sweep", "experiment", "experiment-pool"],
+    )
+    def test_jobs_below_one_exits_2_and_creates_nothing(self, tmp_path, capsys, argv):
+        # Intended: `sweep --jobs -3` ran serially and titled its table
+        # `jobs=-3`; `experiment` opened its store before the refusal.
+        store = tmp_path / "store"
+        assert main(argv + ["--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a process pool needs at least 1 job")
+        assert captured.err.count("\n") == 1
+        assert not store.exists()
+
     def test_queue_with_zero_jobs_exits_2(self, tmp_path, capsys):
         argv = self._argv("sweep", tmp_path) + ["--jobs", "0", "--executor", "queue"]
         assert main(argv) == 2

@@ -12,6 +12,7 @@ from repro.cli import main
 from repro.distrib import Dispatcher, QueueExecutor, Worker, WorkQueue, unit_id
 from repro.exceptions import QueueError, ReproError
 from repro.obs.events import EventJournal, sweep_timeline
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, get_registry, set_registry
 from repro.runtime import SweepSpec
 from repro.runtime.executors import make_executor, run_sweep
 from repro.runtime.runner import run
@@ -662,8 +663,8 @@ class TestStatusHeartbeats:
         status = json.loads(capsys.readouterr().out)
         (entry,) = status["heartbeats"]
         assert entry["worker"] == "w1" and entry["stale"] is False
-        assert entry["heartbeat_age"] >= 0.0
-        assert entry["last_event_ts"] >= entry["heartbeat_ts"]
+        assert entry["age"] >= 0.0
+        assert entry["last_event_age"] <= entry["age"]
 
         # Shrink the TTL below the heartbeat's age: the worker goes stale.
         time.sleep(0.05)
@@ -679,3 +680,153 @@ class TestStatusHeartbeats:
         lines = capsys.readouterr().out.splitlines()
         beats = [line for line in lines if "heartbeat" in line]
         assert len(beats) == 1 and beats[0].startswith("worker w1: heartbeat")
+
+
+def _fold(queue: WorkQueue, uids, now: float) -> dict:
+    """``status()`` recomputed by hand from ``unit_states()`` and the journal."""
+    states = queue.unit_states(uids, now=now)
+    finished = [entry for entry in states if entry["state"] == "done"]
+    timeline = sweep_timeline(queue.journal(), uids)
+    return {
+        "units": len(states),
+        "cells": sum(entry["cells"] for entry in states),
+        **{
+            state: sum(1 for entry in states if entry["state"] == state)
+            for state in ("done", "cancelled", "claimed", "pending")
+        },
+        **{
+            counter: sum(entry[counter] for entry in finished)
+            for counter in ("executed", "salvaged", "cached")
+        },
+        "steals": sum(
+            1
+            for entry in timeline.values()
+            for claim in entry["claims"]
+            if claim["kind"] == "steal"
+        ),
+        "expired": sum(1 for entry in states if entry.get("lease_expired")),
+        "workers": len(queue.result_store_dirs()),
+    }
+
+
+class TestOneReaderPerFact:
+    """``status()`` folds ``unit_states()``; ``find_records`` is the one
+    shard lookup; heartbeats carry the live registry's metrics."""
+
+    def test_status_is_a_fold_over_unit_states(self, tmp_path):
+        queue = _queue(tmp_path, unit_size=1)
+        expired, stolen, released, cancelled = queue.units()
+
+        def check() -> dict:
+            now = time.time()
+            status = queue.status(now=now)
+            assert status == _fold(queue, queue.units(), now)
+            return status
+
+        assert queue.try_claim(expired, "dead", ttl=-1)
+        assert check()["expired"] == 1
+        assert queue.try_claim(stolen, "dead", ttl=-1)
+        assert queue.try_claim(stolen, "w2", ttl=60)
+        assert check()["steals"] == 1
+        assert queue.try_claim(released, "dead", ttl=-1)
+        assert queue.try_claim(released, "w3", ttl=60)
+        queue.release_claim(released, "w3")
+        status = check()
+        assert (status["steals"], status["claimed"], status["pending"]) == (2, 1, 3)
+        assert queue.cancel_unit(cancelled) == "cancelled"
+        assert check()["cancelled"] == 1
+        # w2 restarts: it reclaims its own lease, steals the expired one and
+        # takes the released one fresh.
+        assert Worker(queue, worker_id="w2", lease_ttl=60).run()["units"] == 3
+        status = check()
+        assert (status["done"], status["cancelled"], status["pending"]) == (3, 1, 0)
+        assert (status["executed"], status["steals"], status["expired"]) == (3, 3, 0)
+
+    def test_status_of_a_subset_counts_only_those_units(self, tmp_path):
+        queue = _queue(tmp_path, unit_size=1)
+        first, second, third, _fourth = queue.units()
+        assert queue.try_claim(first, "dead", ttl=-1)
+        assert queue.try_claim(first, "w2", ttl=60)
+        assert queue.cancel_unit(second) == "cancelled"
+        assert queue.try_claim(third, "dead", ttl=-1)
+        now = time.time()
+        subset = queue.status([first, second], now=now)
+        assert subset == _fold(queue, [first, second], now)
+        assert (subset["units"], subset["cells"]) == (2, 2)
+        assert (subset["claimed"], subset["cancelled"], subset["pending"]) == (1, 1, 0)
+        assert (subset["steals"], subset["expired"]) == (1, 0)
+        assert queue.status(now=now)["units"] == 4
+
+    def test_find_records_skips_one_shard_and_unreadable_ones(self, tmp_path):
+        queue = _queue(tmp_path, unit_size=4)
+        (uid,) = queue.units()
+        specs = queue.load_unit(uid).specs
+        keys = [spec.key() for spec in specs]
+        with FileStore(queue.results_root / "a", create=True) as shard:
+            shard.put(run(specs[0]))
+        with FileStore(queue.results_root / "b", create=True) as shard:
+            shard.put(run(specs[1]))
+        (queue.results_root / "0-not-a-store").mkdir()
+        found = queue.find_records(keys)
+        assert sorted(found) == sorted(keys[:2])
+        assert found[keys[1]] == run(specs[1])
+        assert sorted(queue.find_records(keys, skip=queue.results_root / "a")) == [keys[1]]
+        assert queue.find_records([]) == {}
+
+    def test_salvage_and_collection_share_the_lookup(self, tmp_path, monkeypatch):
+        queue = _queue(tmp_path, unit_size=4)
+        calls = []
+        real = WorkQueue.find_records
+
+        def recording(self, keys, skip=None, **options):
+            calls.append((len(keys), skip))
+            return real(self, keys, skip, **options)
+
+        monkeypatch.setattr(WorkQueue, "find_records", recording)
+        Worker(queue, worker_id="w1", lease_ttl=60).run()
+        assert calls == [(4, queue.results_root / "w1")]
+        calls.clear()
+        (uid,) = queue.units()
+        assert len(QueueExecutor._collect(queue, list(queue.load_unit(uid).keys))) == 4
+        assert calls == [(4, None)]
+
+    def test_worker_with_its_own_shards_root_salvages_from_there(self, tmp_path):
+        queue = _queue(tmp_path, unit_size=4)
+        (uid,) = queue.units()
+        unit = queue.load_unit(uid)
+        shards = tmp_path / "shards"
+        with FileStore(shards / "dead", create=True) as dead_store:
+            dead_store.put(run(unit.specs[0]))
+        assert queue.try_claim(uid, "dead", ttl=-1)
+        totals = Worker(queue, worker_id="w2", results_root=shards, lease_ttl=60).run()
+        assert (totals["salvaged"], totals["executed"]) == (1, 3)
+
+    @pytest.fixture()
+    def restore_registry(self):
+        previous = get_registry()
+        yield
+        set_registry(previous)
+
+    def test_heartbeat_holds_the_live_registry(self, tmp_path, restore_registry):
+        set_registry(MetricsRegistry())
+        queue = _queue(tmp_path)
+        Worker(queue, worker_id="w1", lease_ttl=60).run()
+        beat = queue.journal().latest_heartbeats()["w1"]
+        assert beat["phase"] == "exit"
+        assert "repro_runs_total" in beat["metrics"]
+
+    def test_repro_metrics_env_reaches_the_worker_heartbeat(
+        self, tmp_path, monkeypatch, restore_registry
+    ):
+        monkeypatch.setenv("REPRO_METRICS", "1")
+        queue = _queue(tmp_path)
+        argv = ["worker", "--queue", str(queue.root), "--worker-id", "w1", "--quiet"]
+        assert main(argv) == 0
+        beat = queue.journal().latest_heartbeats()["w1"]
+        assert "repro_runs_total" in beat["metrics"]
+
+    def test_no_registry_no_metrics_in_the_heartbeat(self, tmp_path, restore_registry):
+        set_registry(NULL_REGISTRY)
+        queue = _queue(tmp_path)
+        Worker(queue, worker_id="w1", lease_ttl=60).run()
+        assert "metrics" not in queue.journal().latest_heartbeats()["w1"]

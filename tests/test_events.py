@@ -305,14 +305,14 @@ class TestFabricJournal:
 
         queue = _queue(tmp_path)
         uid = queue.units()[0]
-        real_write = queue_module._atomic_write_json
+        real_write = queue_module.atomic_write_json
 
         def dies_before_the_marker(path, payload):
             if path == queue.done_path(uid):
                 raise Killed
             real_write(path, payload)
 
-        monkeypatch.setattr(queue_module, "_atomic_write_json", dies_before_the_marker)
+        monkeypatch.setattr(queue_module, "atomic_write_json", dies_before_the_marker)
         with pytest.raises(Killed):
             Worker(queue, worker_id="doomed", lease_ttl=60).run()
         monkeypatch.undo()
@@ -440,6 +440,20 @@ class TestFleetSummary:
         )
         assert summary["cells_per_sec"] == 1.0
         assert summary["eta_seconds"] == pytest.approx(3.0)  # 6 cells * 0.5s / 1
+
+    def test_last_event_age_names_the_worker_else_the_writer(self):
+        beats = {"w1": self._beat(90.0), "w2": self._beat(95.0), "w3": self._beat(99.0)}
+        events = [
+            {"type": "unit.claim", "ts": 97.0, "writer": "w1", "worker": "w1"},
+            {"type": "cell.done", "ts": 98.5, "writer": "w1"},
+            # A steal names its claimant in ``worker``, whoever wrote it.
+            {"type": "unit.claim", "ts": 96.0, "writer": "dispatch-1", "worker": "w2"},
+        ]
+        summary = fleet_summary({"cells": 0}, beats, events=events, now=100.0)
+        ages = {w["worker"]: w["last_event_age"] for w in summary["workers"]}
+        assert ages == {"w1": 1.5, "w2": 4.0, "w3": None}
+        without = fleet_summary({"cells": 0}, beats, now=100.0)
+        assert {w["last_event_age"] for w in without["workers"]} == {None}
 
     def test_format_fleet_renders_rows_and_empty_fleet(self):
         summary = fleet_summary({"cells": 0}, {}, now=1.0)

@@ -122,6 +122,12 @@ class TestExecutors:
         assert isinstance(make_executor(1), SerialExecutor)
         assert isinstance(make_executor(2), ProcessPoolExecutor)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_make_executor_refuses_jobs_below_one(self, jobs):
+        # Intended: without a kind, any jobs below 2 used to mean serial.
+        with pytest.raises(ReproError, match=f"at least 1 job, got {jobs}"):
+            make_executor(jobs)
+
     def test_run_sweep_accepts_explicit_cells(self):
         cells = [
             ScenarioSpec(family="ring", size=4, labels=(1, 2)),

@@ -6,6 +6,7 @@ import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from urllib.parse import parse_qs, urlencode, urlsplit
@@ -19,6 +20,8 @@ from repro.analysis.experiment_spec import (
     experiment_spec,
     run_experiment,
 )
+from repro.cli import main
+from repro.distrib.queue import WorkQueue
 from repro.distrib.worker import Worker
 from repro.runtime.executors import run_sweep
 from repro.runtime.spec import SweepSpec
@@ -560,6 +563,13 @@ class TestSweepJobsDirect:
         with pytest.raises(QueueError, match="no sweep job"):
             jobs.load("beef")
 
+    def test_job_file_is_one_canonical_json_line(self, tmp_path):
+        jobs = SweepJobs(tmp_path / "q")
+        job = jobs.submit(SweepSpec(sizes=(4,), seeds=(0,), name="g"))
+        text = jobs.job_path(job["job"]).read_text(encoding="utf-8")
+        assert text == json.dumps(job, sort_keys=True, separators=(",", ":")) + "\n"
+        assert [path.name for path in jobs.jobs_root.iterdir()] == [f"{job['job']}.json"]
+
     def test_in_flight_gauge(self, tmp_path):
         jobs = SweepJobs(tmp_path / "q")
         assert jobs.in_flight() == 0
@@ -633,6 +643,43 @@ class TestEventsEndpoint:
         assert payload["remaining_cells"] == 0
         (worker,) = payload["workers"]
         assert worker["worker"] == "w0" and worker["stale"] is False
+
+    def test_job_status_counts_are_the_queue_status_of_its_units(self, tmp_path):
+        service = ResultService(MemoryStore(), queue=str(tmp_path / "q"))
+        first = {"sweep": {"sizes": [4, 6], "seeds": [0, 1]}, "unit_size": 1}
+        jid = body_of(service.handle("POST", "/sweeps", body=json.dumps(first).encode()))["job"]
+        other = {"sweep": {"sizes": [5], "seeds": [0]}, "unit_size": 1}
+        service.handle("POST", "/sweeps", body=json.dumps(other).encode())
+        queue = WorkQueue(tmp_path / "q")
+        unit_ids = SweepJobs(queue).load(jid)["unit_ids"]
+        assert queue.try_claim(unit_ids[0], "dead", ttl=-1)
+        assert queue.try_claim(unit_ids[0], "w1", ttl=60)
+        assert queue.cancel_unit(unit_ids[1]) == "cancelled"
+        Worker(str(tmp_path / "q"), worker_id="w2", poll=0.01, max_units=1).run()
+        now = time.time()
+        status = SweepJobs(queue).status(jid, now=now)
+        counts = queue.status(unit_ids, now=now)
+        assert status["units"] == {
+            state: counts[state]
+            for state in ("units", "done", "cancelled", "claimed", "pending")
+        }
+        assert status["units"]["units"] == 4 and counts["units"] < len(queue.units())
+        for counter in ("executed", "salvaged", "cached"):
+            assert status["cells"][counter] == counts[counter]
+        served = body_of(service.handle("GET", f"/sweeps/{jid}/status"))
+        assert served["units"] == status["units"] and served["state"] == "running"
+
+    def test_queue_status_heartbeats_name_the_fleet_workers(self, tmp_path, capsys):
+        service, _jid = self._drained_service(tmp_path)
+        Worker(str(tmp_path / "q"), worker_id="w1", poll=0.01).run()
+        assert main(["queue", "status", "--queue", str(tmp_path / "q"), "--json"]) == 0
+        beats = json.loads(capsys.readouterr().out)["heartbeats"]
+        fleet = body_of(service.handle("GET", "/fleet"))
+        names = [worker["worker"] for worker in fleet["workers"]]
+        assert [beat["worker"] for beat in beats] == names == ["w0", "w1"]
+        for beat, worker in zip(beats, fleet["workers"]):
+            assert set(beat) == set(worker)
+            assert worker["last_event_age"] <= worker["age"]
 
     def test_index_lists_observability_endpoints(self, tmp_path):
         service = ResultService(MemoryStore(), queue=str(tmp_path / "q"))
