@@ -52,13 +52,6 @@ class BoundComparison:
     rv_bound: int
     baseline_bound: int
 
-    @property
-    def improvement_factor(self) -> float:
-        """How many times smaller the polynomial guarantee is (may be < 1 for tiny inputs)."""
-        if self.rv_bound == 0:
-            return math.inf
-        return self.baseline_bound / self.rv_bound
-
 
 def compare_bounds(
     sizes: Sequence[int],

@@ -595,6 +595,8 @@ class WorkQueue:
         ``executed`` sums the done units' execution counts — over a full
         drain it equals the number of cells that were actually computed, so
         ``executed == cells`` certifies a duplicate-free distributed run.
+        ``cancelled_cells`` counts the cells of cancelled units: cells that
+        will never run.
 
         ``steals`` counts the journal's steal claims on ``uids`` (see
         :meth:`try_claim`), a released pending unit's too, and ``expired``
@@ -614,6 +616,9 @@ class WorkQueue:
             "units": len(states),
             "cells": sum(entry["cells"] for entry in states),
             **counts,
+            "cancelled_cells": sum(
+                entry["cells"] for entry in states if entry["state"] == "cancelled"
+            ),
             **{
                 counter: sum(entry[counter] for entry in finished)
                 for counter in ("executed", "salvaged", "cached")

@@ -212,21 +212,6 @@ class CostModel:
                 total += self.len_K(k)
         return total
 
-    def rv_length_through_piece(self, bits: Sequence[int], last_piece: int) -> int:
-        """Total trajectory length through the end of piece ``last_piece``.
-
-        Includes every earlier piece and every earlier fence, plus the last
-        piece itself (but not the fence following it) — i.e. the number of
-        edge traversals an agent with modified label ``bits`` has performed
-        when it completes its ``last_piece``-th piece.
-        """
-        total = 0
-        for k in range(1, last_piece + 1):
-            total += self.piece_length(k, bits)
-            if k < last_piece:
-                total += self.len_Omega(k)
-        return total
-
     # ------------------------------------------------------------------
     # analytic bounds of the paper
     # ------------------------------------------------------------------

@@ -203,10 +203,6 @@ class PortLabeledGraph:
         """Return the maximum degree over all nodes."""
         return max(self._degrees.values())
 
-    def min_degree(self) -> int:
-        """Return the minimum degree over all nodes."""
-        return min(self._degrees.values())
-
     # ------------------------------------------------------------------
     # navigation
     # ------------------------------------------------------------------
@@ -239,16 +235,6 @@ class PortLabeledGraph:
             if target == u:
                 return port
         raise GraphError(f"{u} is not a neighbour of {v}")
-
-    def edge_endpoints_of_port(self, v: int, port: int) -> EdgeKey:
-        """Return the canonical key of the edge behind ``port`` at ``v``."""
-        half = self._half_edge(v, port)
-        return half.key
-
-    def ports_of_edge(self, key: EdgeKey) -> Tuple[int, int]:
-        """Return ``(port at key[0], port at key[1])`` of the edge ``key``."""
-        u, v = key
-        return self.port_towards(u, v), self.port_towards(v, u)
 
     def neighbours(self, v: int) -> List[int]:
         """Return the neighbours of ``v`` in port order."""

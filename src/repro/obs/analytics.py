@@ -10,7 +10,7 @@ aggregate* across a store.  Three views:
   (the ``repro trace top`` table);
 * :func:`trace_diff` — attribute the wall-time delta between two runs to
   named spans (the ``repro trace diff`` table), so a slower run points at
-  ``engine.apply.sweep``, not just at a number.
+  ``engine.fused_loop``, not just at a number.
 
 The diff works on *components*: the span hierarchy (known from
 :mod:`repro.obs.profile`'s child-span constants, extended by the dotted
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .profile import APPLY_CHILD_SPANS, ENGINE_CHILD_SPANS
+from .profile import ENGINE_CHILD_SPANS
 
 __all__ = [
     "trace_of",
@@ -43,11 +43,16 @@ __all__ = [
 ROOT_SPAN = "run"
 
 #: Explicit parent edges of the known span hierarchy; unknown dotted names
-#: fall back to their longest dot-prefix ancestor present in the trace.
+#: fall back to their longest dot-prefix ancestor present in the trace.  The
+#: per-decision spans (and ``engine.apply.sweep``/``.index`` under
+#: ``engine.apply``) are found only in traces stored when the engine still
+#: had a second, generic decision loop.
 SPAN_PARENTS: Dict[str, str] = {
     "engine.run": ROOT_SPAN,
     **{name: "engine.run" for name in ENGINE_CHILD_SPANS},
-    **{name: "engine.apply" for name in APPLY_CHILD_SPANS},
+    "scheduler.decide": "engine.run",
+    "engine.apply": "engine.run",
+    "engine.check_termination": "engine.run",
 }
 
 #: A run whose root span exceeds ``threshold × group median`` is an outlier.

@@ -444,7 +444,8 @@ def fleet_summary(
     stealable).  A worker's ``last_event_age`` is the age of the newest
     event whose ``worker`` (else ``writer``) names it, ``None`` without
     ``events``.  Throughput is measured over the ``cell.done`` events and
-    the ETA extrapolates it over the cells not yet accounted for.
+    the ETA extrapolates it over the cells not yet accounted for: neither
+    executed, salvaged or cached, nor in a cancelled unit.
     """
     now = time.time() if now is None else now
     last_seen: Dict[str, float] = {}
@@ -489,7 +490,11 @@ def fleet_summary(
 
     eta = None
     total_cells = int(status.get("cells", 0))
-    accounted = sum(int(status.get(k, 0)) for k in ("executed", "salvaged", "cached"))
+    # A cancelled unit's cells never run, so they are not remaining either.
+    accounted = sum(
+        int(status.get(k, 0))
+        for k in ("executed", "salvaged", "cached", "cancelled_cells")
+    )
     remaining = max(0, total_cells - accounted)
     live = [w for w in workers if not w.get("stale")]
     if remaining and cell_seconds and live:

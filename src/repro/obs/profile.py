@@ -2,37 +2,24 @@
 
 The table attributes wall time across the named spans of a trace, relative
 to a *root* span (``run`` — the whole scenario — by default, or
-``engine.run`` with ``root="engine.run"`` to profile just the engine loop).
-Spans nest: ``engine.run`` contains ``engine.bootstrap`` and either the
-fused loop's single ``engine.fused_loop`` span or the generic loop's
-``scheduler.decide`` / ``engine.apply`` / ``engine.check_termination``, so
-percentages of non-root spans may sum near 100% *within* their parent while
-the parent itself also appears.
+``engine.run`` with ``root="engine.run"`` to profile just the engine).
+Spans nest: ``engine.run`` contains ``engine.bootstrap`` and the decision
+loop's single ``engine.fused_loop`` span, so percentages of non-root spans
+may sum near 100% *within* their parent while the parent itself also
+appears.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-__all__ = ["format_profile", "engine_coverage", "apply_breakdown"]
+__all__ = ["format_profile", "engine_coverage"]
 
-#: Spans that partition the engine loop (children of ``engine.run``): the
-#: bootstrap, then the fused loop as one span or the generic loop's phases.
+#: Spans that partition the engine (children of ``engine.run``): the
+#: bootstrap, then the decision loop as one span.
 ENGINE_CHILD_SPANS = (
     "engine.bootstrap",
     "engine.fused_loop",
-    "scheduler.decide",
-    "engine.apply",
-    "engine.check_termination",
-)
-
-#: Spans that break down ``engine.apply``: the sweep over the traversed
-#: edge's occupants versus the neighbor-index/lattice maintenance.  Whatever
-#: apply time neither covers (action dispatch, program driving) is reported
-#: as ``other``.
-APPLY_CHILD_SPANS = (
-    "engine.apply.sweep",
-    "engine.apply.index",
 )
 
 
@@ -55,28 +42,6 @@ def engine_coverage(trace: Mapping[str, Any]) -> Optional[float]:
         spans.get(name, {}).get("seconds", 0.0) for name in ENGINE_CHILD_SPANS
     )
     return attributed / total
-
-
-def apply_breakdown(trace: Mapping[str, Any]) -> Optional[Dict[str, float]]:
-    """Split ``engine.apply`` seconds into sweep, index maintenance and rest.
-
-    Returns ``{"sweep": s, "index": s, "other": s, "total": s}`` — ``other``
-    is the apply time spent outside the two instrumented phases (decision
-    validation, driving the agent program, meeting emission).  ``None`` when
-    the trace holds no ``engine.apply`` span.
-    """
-    spans = _spans_of(trace)
-    total = spans.get("engine.apply", {}).get("seconds")
-    if total is None:
-        return None
-    sweep = spans.get("engine.apply.sweep", {}).get("seconds", 0.0)
-    index = spans.get("engine.apply.index", {}).get("seconds", 0.0)
-    return {
-        "sweep": sweep,
-        "index": index,
-        "other": max(0.0, total - sweep - index),
-        "total": total,
-    }
 
 
 def format_profile(trace: Mapping[str, Any], root: str = "run") -> str:
@@ -123,15 +88,6 @@ def format_profile(trace: Mapping[str, Any], root: str = "run") -> str:
         lines.append(
             f"engine coverage: {100.0 * coverage:.1f}% of engine.run attributed "
             f"to {', '.join(name for name in ENGINE_CHILD_SPANS if name in spans)}"
-        )
-    breakdown = apply_breakdown(trace)
-    if breakdown is not None and breakdown["total"] > 0:
-        total_apply = breakdown["total"]
-        lines.append(
-            "engine.apply breakdown: "
-            f"sweep {100.0 * breakdown['sweep'] / total_apply:.1f}%, "
-            f"index maintenance {100.0 * breakdown['index'] / total_apply:.1f}%, "
-            f"other {100.0 * breakdown['other'] / total_apply:.1f}%"
         )
 
     counters = trace.get("counters", {})

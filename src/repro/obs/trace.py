@@ -3,8 +3,8 @@
 A :class:`Tracer` is handed (ambiently, see :func:`use_tracer`) to the
 layers executing one scenario.  They record three kinds of telemetry:
 
-* **spans** — named wall-time accumulators (``scheduler.decide``,
-  ``engine.apply``, …).  A span is recorded either with the context manager
+* **spans** — named wall-time accumulators (``engine.bootstrap``,
+  ``engine.fused_loop``, …).  A span is recorded either with the context manager
   :meth:`Tracer.span` or, on hot paths, with the two-call fast path
   ``t0 = tracer.clock(); ...; tracer.add_span("name", t0)``;
 * **counters** — deterministic tallies (decisions, agents scanned,
@@ -25,7 +25,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = [
     "Tracer",
@@ -77,11 +77,6 @@ class RunTrace:
             "events": list(self.events),
             "events_dropped": self.events_dropped,
         }
-
-    def span_seconds(self, name: str) -> float:
-        """Accumulated wall seconds of span ``name`` (0.0 when absent)."""
-        span = self.spans.get(name)
-        return float(span["seconds"]) if span else 0.0
 
 
 def deterministic_view(trace: Any) -> Dict[str, Any]:

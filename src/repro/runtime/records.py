@@ -220,13 +220,6 @@ class SweepResult:
         """Whether every cell reached its goal."""
         return all(record.ok for record in self.records)
 
-    @property
-    def ok_fraction(self) -> float:
-        """Fraction of cells that reached their goal."""
-        if not self.records:
-            return 0.0
-        return sum(1 for record in self.records if record.ok) / len(self.records)
-
     def max_cost(self) -> int:
         """Largest cell cost (0 for an empty sweep)."""
         return max((record.cost for record in self.records), default=0)

@@ -6,7 +6,8 @@ meet when their points coincide (possibly inside an edge).
 
 Public API
 ----------
-* :class:`~repro.sim.engine.AsyncEngine`, :class:`~repro.sim.engine.AgentSpec`
+* :class:`~repro.sim.engine.AsyncEngine`, :class:`~repro.sim.engine.AgentSpec`,
+  and ``WAKE``, the target of a scheduler's wake choice
 * actions and observations: :class:`~repro.sim.actions.Move`,
   :class:`~repro.sim.actions.Stop`, :class:`~repro.sim.actions.Observation`,
   :class:`~repro.sim.actions.MeetingEvent`
@@ -23,17 +24,15 @@ Public API
 
 from .actions import AgentSnapshot, MeetingEvent, Move, Observation, Stop
 from .agent import AgentController, FunctionController, StationaryController
-from .engine import AgentSpec, AgentStatus, AsyncEngine, EngineView
+from .engine import WAKE, AgentSpec, AgentStatus, AsyncEngine
 from .position import Position
 from .results import RunResult, StopReason
 from .schedulers import (
-    Advance,
     GreedyAvoidingScheduler,
     LazyScheduler,
     RandomScheduler,
     RoundRobinScheduler,
     Scheduler,
-    Wake,
 )
 
 __all__ = [
@@ -48,12 +47,10 @@ __all__ = [
     "AgentSpec",
     "AgentStatus",
     "AsyncEngine",
-    "EngineView",
+    "WAKE",
     "Position",
     "RunResult",
     "StopReason",
-    "Advance",
-    "Wake",
     "Scheduler",
     "RoundRobinScheduler",
     "RandomScheduler",

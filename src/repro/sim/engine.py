@@ -17,26 +17,30 @@ port and its own traversal count.  All information exchange between agents
 happens through the meeting hooks of their controllers, mirroring the paper's
 "agents exchange information when they meet" rule of §4.
 
-Internally the decision loop is organised around two layers that keep its
-per-decision cost proportional to the *local* crowding of the traversed edge
-rather than the total number of agents (see docs/API.md, "Engine internals"):
+The adversary is one :class:`~repro.sim.schedulers.Scheduler` method,
+``choose(engine)``, called once per decision: it reads the flat agent state
+(:attr:`AsyncEngine.agents`) and names a mover plus a target (the end of its
+edge, or a park point strictly inside it), a wake, or nothing.  One loop runs
+every adversary, on one of two paths (see docs/API.md, "Engine internals"):
 
-* a :class:`~repro.sim.neighbor_index.NeighborIndex` maps nodes and edges to
+* while no agent is strictly inside an edge, agents live in a flat node
+  array and a complete traversal's only possible coincidence is an arrival
+  meeting, found by a scan of that array;
+* while some agent is parked, decisions take the lattice path: a
+  :class:`~repro.sim.neighbor_index.NeighborIndex` maps nodes and edges to
   their occupants, so sweeps and safe-advance queries consult only agents on
-  (or at an endpoint of) the edge being traversed;
-* traversal progress is kept as an integer numerator/denominator pair and
-  compared against the per-edge lattice (:mod:`repro.sim.lattice`) by integer
-  cross-multiplication; :class:`~fractions.Fraction` objects are materialised
-  only where they become externally visible (positions, the scheduler view,
-  error messages), which is why every emitted record is byte-identical to the
-  pre-lattice engine's.
+  (or at an endpoint of) the edge being traversed, and traversal progress is
+  an integer numerator/denominator pair compared against the per-edge
+  lattice (:mod:`repro.sim.lattice`) by integer cross-multiplication.
+  :class:`~fractions.Fraction` objects are materialised only where they
+  become externally visible (positions, park points, error messages).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..exceptions import (
     CostLimitExceeded,
@@ -53,39 +57,16 @@ from .position import ONE as _ONE
 from .position import ZERO as _ZERO
 from .position import Position
 from .results import RunResult, StopReason
-from .schedulers import (
-    Advance,
-    Decision,
-    LazyScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    Scheduler,
-    Wake,
-)
 
-__all__ = ["AgentSpec", "AsyncEngine", "EngineView", "AgentStatus", "takes_fused_loop"]
+if TYPE_CHECKING:  # the schedulers import this module
+    from .schedulers import Scheduler
 
-#: The adversaries whose every decision completes a traversal (absent a wake
-#: schedule): exactly the ones the fused loop can replay.
-_COMPLETE_TRAVERSAL_SCHEDULERS = (RoundRobinScheduler, RandomScheduler, LazyScheduler)
+__all__ = ["AgentSpec", "AsyncEngine", "AgentStatus", "WAKE"]
 
+#: The target of a ``(mover, WAKE)`` choice: wake the dormant agent.
+WAKE = "wake"
 
-def takes_fused_loop(scheduler: Scheduler, agent_names: Iterable[str]) -> bool:
-    """Whether a run under ``scheduler`` takes the fused loop, traced or not.
-
-    True for a plain round-robin (its order, if fixed, covers exactly the
-    agents), random or lazy adversary without a wake schedule: every decision
-    it makes is a complete traversal.  Subclasses, the meeting-avoiding
-    adversary and wake schedules use the generic decision loop.
-    """
-    kind = type(scheduler)
-    if kind not in _COMPLETE_TRAVERSAL_SCHEDULERS or scheduler._wake_schedule:
-        return False
-    order = scheduler._order if kind is RoundRobinScheduler else None
-    if order is None:
-        return True
-    names = set(agent_names)
-    return len(order) == len(names) and set(order) == names
+_HALF = Fraction(1, 2)
 
 
 class AgentStatus:
@@ -108,9 +89,8 @@ class AgentSpec:
         The node at which the adversary initially places the agent.
     dormant:
         Whether the agent starts dormant.  Dormant agents are woken either by
-        the scheduler (a :class:`~repro.sim.schedulers.Wake` decision) or by
-        another agent whose point coincides with their start node, exactly as
-        in §4 of the paper.
+        the scheduler (a ``(mover, WAKE)`` choice) or by another agent whose
+        point coincides with their start node, exactly as in §4 of the paper.
     """
 
     controller: AgentController
@@ -126,26 +106,21 @@ class _PendingTraversal:
     """An edge traversal an agent has committed to but not yet completed.
 
     Progress lives as the integer pair ``p_num / p_den`` (always the reduced
-    form of the last ``Advance`` target); the :attr:`progress` property
-    materialises the :class:`Fraction` on demand for the scheduler view and
-    for error messages.
+    form of the last advance's target); the :attr:`progress` property
+    materialises the :class:`Fraction` on demand for park points and error
+    messages.
     """
 
     __slots__ = (
-        "from_node",
         "to_node",
         "edge",
-        "exit_port",
         "entry_port",
         "forward",
         "p_num",
         "p_den",
     )
 
-    def __init__(
-        self, from_node: int, to_node: int, exit_port: int, entry_port: int
-    ) -> None:
-        self.from_node = from_node
+    def __init__(self, from_node: int, to_node: int, entry_port: int) -> None:
         self.to_node = to_node
         if from_node < to_node:
             self.edge = (from_node, to_node)
@@ -153,7 +128,6 @@ class _PendingTraversal:
         else:
             self.edge = (to_node, from_node)
             self.forward = False
-        self.exit_port = exit_port
         self.entry_port = entry_port
         self.p_num = 0
         self.p_den = 1
@@ -167,7 +141,13 @@ class _PendingTraversal:
 
 
 class _AgentState:
-    """Engine-internal bookkeeping for one agent."""
+    """Engine bookkeeping for one agent; schedulers read it, never write it.
+
+    A scheduler reads ``index`` (the position in ``AsyncEngine.agents``),
+    ``name``, ``status``, ``traversals`` and ``pending`` (the committed
+    traversal, or ``None``: only an active agent commits one, so ``pending
+    is not None`` is what makes an agent eligible to move).
+    """
 
     __slots__ = (
         "spec",
@@ -182,9 +162,11 @@ class _AgentState:
         "versioned",
         "snap",
         "snap_version",
+        "index",
     )
 
     def __init__(self, spec: AgentSpec, status: str, position: Position) -> None:
+        self.index = -1  # position in ``AsyncEngine.agents``
         self.spec = spec
         self.name = spec.name
         self.controller = spec.controller
@@ -202,79 +184,6 @@ class _AgentState:
         )
         self.snap: Optional[AgentSnapshot] = None
         self.snap_version = -1
-
-
-class EngineView:
-    """Read-only view of the engine state handed to schedulers.
-
-    The adversary of the paper is omniscient: it sees where every agent is
-    and what it is about to do.  The view exposes exactly that, plus the
-    helper :meth:`max_safe_advance` used by the meeting-avoiding adversary.
-    """
-
-    def __init__(self, engine: "AsyncEngine") -> None:
-        self._engine = engine
-
-    def agent_names(self) -> List[str]:
-        """Names of all agents, in registration order."""
-        return [state.name for state in self._engine._agents.values()]
-
-    def eligible_agents(self) -> List[str]:
-        """Agents the adversary may currently advance (active, committed)."""
-        return [
-            state.name
-            for state in self._engine._agents.values()
-            if state.status == AgentStatus.ACTIVE and state.pending is not None
-        ]
-
-    def is_eligible(self, name: str) -> bool:
-        """Whether agent ``name`` may currently be advanced.
-
-        Membership test equivalent to ``name in eligible_agents()`` without
-        building the list — schedulers probing one candidate at a time (round
-        robin) stay O(1) per probe.
-        """
-        state = self._engine._agents.get(name)
-        return (
-            state is not None
-            and state.status == AgentStatus.ACTIVE
-            and state.pending is not None
-        )
-
-    def is_dormant(self, name: str) -> bool:
-        """Whether agent ``name`` is still dormant."""
-        return self._engine._agent(name).status == AgentStatus.DORMANT
-
-    def agent_status(self, name: str) -> str:
-        """Lifecycle status of agent ``name``."""
-        return self._engine._agent(name).status
-
-    def agent_position(self, name: str) -> Position:
-        """Exact position of agent ``name``."""
-        return self._engine._agent(name).position
-
-    def agent_progress(self, name: str) -> Fraction:
-        """Progress of the agent's committed traversal (0 if none)."""
-        state = self._engine._agent(name)
-        return state.pending.progress if state.pending is not None else _ZERO
-
-    def agent_traversals(self, name: str) -> int:
-        """Completed edge traversals of agent ``name``."""
-        return self._engine._agent(name).traversals
-
-    def total_traversals(self) -> int:
-        """Total completed edge traversals over all agents."""
-        return self._engine.total_traversals
-
-    def max_safe_advance(self, name: str) -> Optional[Fraction]:
-        """Largest progress the agent can be advanced to without a meeting.
-
-        Returns ``Fraction(1)`` when the whole traversal is free of
-        coincidences, a value strictly between the current progress and the
-        nearest obstacle otherwise, and ``None`` if the agent has no
-        committed traversal.
-        """
-        return self._engine._max_safe_advance(name)
 
 
 class AsyncEngine:
@@ -358,6 +267,17 @@ class AsyncEngine:
                 position=self._node_pos[spec.start_node],
             )
             self._index.set_node(spec.name, spec.start_node)
+        #: The flat agent state schedulers read, sorted by name.
+        self.agents: List[_AgentState] = [
+            self._agents[name] for name in sorted(self._agents)
+        ]
+        for i, state in enumerate(self.agents):
+            state.index = i
+        self._positions = {state.name: i for i, state in enumerate(self.agents)}
+        #: Each agent's node, aligned with ``agents``, while nobody is strictly
+        #: inside an edge (the index's node buckets are then left stale); None
+        #: while some agent is parked and the index is the source of truth.
+        self._nodes: Optional[List[int]] = None
         if self._rendezvous is not None:
             unknown = self._rendezvous - set(self._agents)
             if unknown:
@@ -395,41 +315,78 @@ class AsyncEngine:
         return self._graph
 
     @property
-    def view(self) -> EngineView:
-        """A read-only view of this engine, as handed to schedulers.
-
-        Views are made per call, never stored on the engine: an engine
-        holding its own view is a reference cycle, which would keep every
-        finished run (and all its meeting events) alive until the cyclic
-        collector happens to run.
-        """
-        return EngineView(self)
-
-    @property
     def neighbor_index(self) -> NeighborIndex:
         """The occupancy index (read-only for tooling and tests)."""
         return self._index
 
+    def index_of(self, name: str) -> Optional[int]:
+        """The position of agent ``name`` in :attr:`agents`, or ``None``."""
+        return self._positions.get(name)
+
+    def max_safe_advance(self, i: int) -> Optional[Fraction]:
+        """Largest progress ``agents[i]`` can be advanced to without a meeting.
+
+        Returns ``Fraction(1)`` when the whole traversal is free of
+        coincidences, a value strictly between the current progress and the
+        nearest obstacle otherwise, and ``None`` if the agent has no
+        committed traversal.
+        """
+        pending = self.agents[i].pending
+        if pending is None:
+            return None
+        nodes = self._nodes
+        nearest_d: Optional[int] = None
+        if nodes is not None:
+            # Nobody is inside an edge: the only obstacle waits at the end.
+            waiting = scanned = nodes.count(pending.to_node)
+        else:
+            frame = self._index.frames.get(pending.edge)
+            p_num = pending.p_num
+            p_den = pending.p_den
+            scanned = 0
+            if frame is not None:
+                den = frame.den
+                forward = pending.forward
+                lo = p_num * den  # occupant d is an obstacle iff d * p_den > lo
+                mover_name = self.agents[i].name
+                for oname, num in frame.occupants.items():
+                    if oname == mover_name:
+                        continue
+                    scanned += 1
+                    d = num if forward else den - num
+                    if d * p_den > lo and (nearest_d is None or d < nearest_d):
+                        nearest_d = d
+            waiting = len(self._index.node_occupants.get(pending.to_node, ()))
+            scanned += waiting
+        if self._tracer is not None:
+            self._tracer.count("engine.msa_calls")
+            self._tracer.count("engine.msa_agents_scanned", scanned)
+            self._tracer.count("engine.fraction_ops", scanned)
+        if nearest_d is not None:
+            # Interior obstacles are strictly below 1, so the nearest interior
+            # occupant wins over any agent waiting at the destination node.
+            return (pending.progress + frame.fraction(nearest_d)) / 2
+        if waiting:
+            # Halfway to the destination; on the node array progress is 0.
+            return _HALF if nodes is not None else (pending.progress + 1) / 2
+        return _ONE
+
     def run(self) -> RunResult:
         """Run the simulation to completion and return the result.
 
-        :func:`takes_fused_loop` alone picks the loop; a tracer never changes
-        which code runs, it only adds the ``engine.run`` span, the closing
-        counters and the loop's own spans and meeting events.
+        A tracer never changes which code runs: it adds the
+        ``engine.bootstrap``, ``engine.run`` and ``engine.fused_loop`` spans,
+        the closing counters and the meeting events.
         """
-        if takes_fused_loop(self._scheduler, self._agents):
-            loop = self._run_complete_traversals
-        else:
-            loop = self._run_decisions
         tracer = self._tracer
         if tracer is None:
             self._bootstrap()
-            return loop(None)
+            return self._loop(None)
         run_started = tracer.clock()
         try:
             self._bootstrap()
             tracer.add_span("engine.bootstrap", run_started)
-            return loop(tracer)
+            return self._loop(tracer)
         finally:
             tracer.add_span("engine.run", run_started)
             tracer.count("engine.decisions", self._decisions)
@@ -438,100 +395,33 @@ class AsyncEngine:
             tracer.count("engine.index_updates", self._index.updates)
             tracer.count("engine.lattice_rescales", self._index.rescales())
 
-    def _run_decisions(self, tracer: Optional[Tracer]) -> RunResult:
-        # The generic loop: any adversary, one scheduler decision at a time.
-        # Traced, every phase of every iteration gets its own span.
-        view = EngineView(self)
-        while not self._done:
-            if tracer is None:
-                self._check_passive_termination()
-            else:
-                t0 = tracer.clock()
-                self._check_passive_termination()
-                tracer.add_span("engine.check_termination", t0)
-            if self._done:
-                break
-            if self._decisions >= self._max_decisions:
-                raise SimulationError(
-                    f"scheduler exceeded the decision budget ({self._max_decisions}); "
-                    "it is probably making unbounded zero-progress decisions"
-                )
-            if tracer is None:
-                decision = self._scheduler.decide(view)
-            else:
-                t0 = tracer.clock()
-                decision = self._scheduler.decide(view)
-                tracer.add_span("scheduler.decide", t0)
-            self._decisions += 1
-            if decision is None:
-                self._finish(StopReason.SCHEDULER_EXHAUSTED)
-                break
-            if tracer is None:
-                self._apply(decision)
-            else:
-                t0 = tracer.clock()
-                self._apply(decision)
-                tracer.add_span("engine.apply", t0)
-        return self._build_result()
-
-    def _run_complete_traversals(self, tracer: Optional[Tracer]) -> RunResult:
-        # Specialised main loop for the adversaries whose every decision is a
-        # *complete* traversal (see :func:`takes_fused_loop`).  No agent is
-        # ever strictly inside an edge: the lattice frames stay empty, the
-        # only possible coincidences are arrival meetings, and the index
-        # degenerates to its node buckets.  The loop below replays, inline,
-        # exactly the decision sequence the generic loop produces with the
-        # same scheduler — the choice of the mover is the only part that
-        # differs per adversary, and it keeps the scheduler's own state
-        # (round-robin and lazy cursors, the lazy release flag, the random
-        # generator) exactly where ``choose`` would have left it.  That is
-        # what keeps every record byte-identical (the golden equivalence
-        # suite pins this against the fixtures).  Traced, the loop takes a
-        # timestamp only on entry and exit (``engine.fused_loop``) and emits
-        # the meeting events ``_emit_meeting`` would.
-        scheduler = self._scheduler
-        agents = self._agents
-        kind = type(scheduler)
-        round_robin = kind is RoundRobinScheduler
-        lazy = kind is LazyScheduler
-        if round_robin:
-            if scheduler._order is None:
-                scheduler._order = sorted(agents)
-            order = scheduler._order
-        else:
-            # ``choose`` draws over the *sorted* eligible agents; with states
-            # in name order, the eligible indices come out sorted too.
-            order = sorted(agents)
-        states = [agents[name] for name in order]
-        n = len(states)
-        cursor = 0 if kind is RandomScheduler else scheduler._cursor
-        released = lazy and scheduler._released
-        if lazy:
-            # A starved name that matches no agent starves nobody: ``choose``
-            # then picks from all eligible agents alike before and after the
-            # release.
-            starved_state = agents.get(scheduler._starved)
-            starved = -1 if starved_state is None else order.index(scheduler._starved)
-            release_after = scheduler._release_after
-        elif not round_robin:
-            rng_random = scheduler._rng.random
-            # Unweighted, ``rng.choices(elig, weights=[1.0] * m)`` bisects the
-            # integer cumulative weights at ``random() * m`` — the floor of
-            # it, so one ``random()`` indexes the sorted eligible list directly.
-            uniform = not scheduler._weights
+    def _loop(self, tracer: Optional[Tracer]) -> RunResult:
+        # The decision loop of every adversary.  Each decision asks the
+        # scheduler for a move.  A bare agent index (a complete traversal)
+        # taken while nobody is inside an edge runs inline below: the lattice
+        # frames are empty, the only possible coincidence is an arrival
+        # meeting, and occupancy lives in the node array ``nodes``.  Any
+        # other move (a park, a wake, or any move while some agent is
+        # parked) goes through ``_apply`` on the neighbor index, which is
+        # re-synced from ``nodes`` on the way in; the node array comes back
+        # as soon as no agent is parked.  Traced, the loop takes a timestamp
+        # only on entry and exit (``engine.fused_loop``) and emits the
+        # meeting events ``_emit_meeting`` would.
+        if self._done:  # the bootstrap meetings reached the goal
+            return self._build_result()
+        choose = self._scheduler.choose
+        agents = self.agents
+        by_name = self._agents
+        n = len(agents)
         active = AgentStatus.ACTIVE
         adj = self._adj
         node_pos = self._node_pos
         index = self._index
-        # Every agent sits at a node for the whole run (complete advances
-        # only), so occupancy is tracked in a flat node array aligned with
-        # ``states`` — comparing ints replaces the per-decision churn on the
-        # index's bucket maps — and the index is rebuilt, consistent, on the
-        # way out.  ``nodes[j]`` mirrors exactly what the bucket maps would
+        # ``nodes[j]`` mirrors exactly what the index's node buckets would
         # say: an agent occupies its node from placement until its own next
         # traversal completes, whatever its status.
-        nodes = [st.position.node for st in states]
-        agent_names = [st.name for st in states]
+        nodes = self._nodes = [st.position.node for st in agents]
+        agent_names = [st.name for st in agents]
         max_decisions = self._max_decisions
         max_traversals = self._max_traversals
         check_output = self._stop_when_all_output
@@ -543,15 +433,18 @@ class AsyncEngine:
         meeting_cls = MeetingEvent
         meetings_append = self._meetings.append
         no_rendezvous = self._rendezvous is None
-        # The three monotone counters live in locals and are flushed to the
+        # Decisions and index updates live in locals and are flushed to the
         # engine before any call that can observe them (and in the finally).
-        decisions = self._decisions
+        # Every decision not counted in ``lattice`` completed a traversal
+        # inline.  Every path that ends the run breaks out of the loop.
+        decisions = first_decision = self._decisions
         total_traversals = self.total_traversals
         index_updates = index.updates
+        lattice = 0
         if tracer is not None:
             loop_started = tracer.clock()
         try:
-            while not self._done:
+            while True:
                 if self._stopped == n:
                     self._finish(StopReason.ALL_STOPPED)
                     break
@@ -561,63 +454,33 @@ class AsyncEngine:
                         f"({max_decisions}); it is probably making unbounded "
                         "zero-progress decisions"
                     )
-                # -- scheduler.decide(view), inlined per adversary -----------
-                if round_robin:
-                    # First probe outside the scan loop: under round-robin
-                    # the next agent in order is almost always ready.
-                    mover = cursor % n
-                    state = states[mover]
-                    if state.status == active and state.pending is not None:
-                        cursor += 1
-                    else:
-                        state = None
-                        for i in range(1, n):
-                            j = (cursor + i) % n
-                            st = states[j]
-                            if st.status == active and st.pending is not None:
-                                cursor += i + 1
-                                state = st
-                                mover = j
-                                break
-                else:
-                    eligible = [
-                        j
-                        for j in range(n)
-                        if states[j].status == active and states[j].pending is not None
-                    ]
-                    if not eligible:
-                        state = None
-                    elif lazy:
-                        if not released:
-                            others = [j for j in eligible if j != starved]
-                            others_cost = total_traversals - (
-                                0 if starved_state is None else starved_state.traversals
-                            )
-                            if not others or (
-                                release_after is not None
-                                and others_cost >= release_after
-                            ):
-                                released = True
-                        if released:
-                            mover = eligible[cursor % len(eligible)]
-                        else:
-                            mover = others[cursor % len(others)]
-                        cursor += 1
-                        state = states[mover]
-                    else:
-                        if uniform:
-                            mover = eligible[int(rng_random() * len(eligible))]
-                        else:
-                            names = [agent_names[j] for j in eligible]
-                            mover = eligible[names.index(scheduler._pick(names))]
-                        state = states[mover]
+                mover = choose(self)
                 decisions += 1
-                if state is None:
+                if mover.__class__ is not int or nodes is None or not 0 <= mover < n:
                     self._decisions = decisions
-                    self._finish(StopReason.SCHEDULER_EXHAUSTED)
-                    break
-                # -- apply the complete advance ------------------------------
+                    lattice += 1
+                    if mover is None:
+                        self._finish(StopReason.SCHEDULER_EXHAUSTED)
+                        break
+                    # -- the lattice path ------------------------------------
+                    if nodes is not None:
+                        index.updates = index_updates
+                        self._materialise(nodes)
+                        nodes = self._nodes = None
+                    self._apply(mover)
+                    if self._done:
+                        break
+                    total_traversals = self.total_traversals
+                    if not index.frames:
+                        index_updates = index.updates
+                        nodes = self._nodes = [st.position.node for st in agents]
+                    continue
+                # -- a complete traversal on the node array ------------------
+                state = agents[mover]
                 pending = state.pending
+                if pending is None:
+                    self._decisions = decisions
+                    raise self._cannot_advance(mover)
                 to_node = pending.to_node
                 # The sweep of a complete advance with an empty frame: only
                 # the arrival meeting is possible.  Scanning every agent
@@ -646,15 +509,15 @@ class AsyncEngine:
                         # _emit_meeting, inlined for the dominant case: no
                         # rendezvous target, nobody dormant, not a self-loop
                         # (so the mover is not among the occupants and no
-                        # dedup is needed).  The event reads the counter
-                        # locals directly, so no flush is required unless a
+                        # dedup is needed).  The event reads the decision
+                        # local directly, so no flush is required unless a
                         # callee observes engine state.
                         if len(meet) == 1:
-                            pstates = (state, agents[meet[0]])
+                            pstates = (state, by_name[meet[0]])
                         else:
                             pstates = [state]
                             for m in meet:
-                                pstates.append(agents[m])
+                                pstates.append(by_name[m])
                         snaps = []
                         for st in pstates:
                             controller = st.controller
@@ -712,13 +575,11 @@ class AsyncEngine:
                                     break
                             else:
                                 self._decisions = decisions
-                                self.total_traversals = total_traversals
                                 self._check_output_termination()
                                 if self._done:
                                     break
                     else:
                         self._decisions = decisions
-                        self.total_traversals = total_traversals
                         self._emit_meeting(
                             [state.name] + meet, node_pos[to_node]
                         )
@@ -726,12 +587,9 @@ class AsyncEngine:
                             break
                 if total_traversals >= max_traversals:
                     self._decisions = decisions
-                    self.total_traversals = total_traversals
                     self._handle_cost_limit()
                     break
                 # -- complete the traversal ----------------------------------
-                state.pending = None
-                name = state.name
                 nodes[mover] = to_node
                 index_updates += 1
                 entry = pending.entry_port
@@ -739,6 +597,7 @@ class AsyncEngine:
                 tr = state.traversals + 1
                 state.traversals = tr
                 total_traversals += 1
+                self.total_traversals = total_traversals
                 # -- drive the agent's program one step ----------------------
                 program = state.program
                 if program is not None and state.status == active:
@@ -752,6 +611,8 @@ class AsyncEngine:
                         self._stop_agent(state)
                     else:
                         if action.__class__ is Move:
+                            # The committed traversal is reused for the next
+                            # edge; its progress is 0 on the node array.
                             port = action.port
                             if 0 <= port < degree:
                                 target, entry_port = row[port]
@@ -761,63 +622,67 @@ class AsyncEngine:
                                 else:
                                     pending.edge = (target, to_node)
                                     pending.forward = False
-                                pending.from_node = to_node
                                 pending.to_node = target
-                                pending.exit_port = port
                                 pending.entry_port = entry_port
-                                pending.p_num = 0
-                                pending.p_den = 1
-                                state.pending = pending
                             else:
                                 raise ProtocolError(
-                                    f"agent {name!r} chose port {port} at a "
-                                    f"node of degree {degree}"
+                                    f"agent {state.name!r} chose port {port} "
+                                    f"at a node of degree {degree}"
                                 )
                         else:
                             # A Stop, a Move subclass or a protocol error:
-                            # the generic handler reads the agent's position.
+                            # ``_handle_action`` reads the agent's position.
                             state.position = node_pos[to_node]
                             self._handle_action(state, action)
-                if check_output and not self._done:
+                else:
+                    state.pending = None
+                if check_output:
                     if fast_output:
-                        for st in output_states:
-                            if st.controller.output is None:
+                        # Meetings check on their own, so since the last check
+                        # only the mover's program can have produced an output.
+                        if state.controller.output is not None:
+                            for st in output_states:
+                                if st.controller.output is None:
+                                    break
+                            else:
+                                self._output_cost = total_traversals
+                                self._finish(StopReason.ALL_OUTPUT)
                                 break
-                        else:
-                            self._output_cost = total_traversals
-                            self._finish(StopReason.ALL_OUTPUT)
                     else:
                         self._decisions = decisions
-                        self.total_traversals = total_traversals
                         self._check_output_termination()
+                        if self._done:
+                            break
         finally:
             self._decisions = decisions
-            self.total_traversals = total_traversals
-            if kind is not RandomScheduler:
-                scheduler._cursor = cursor
-            if lazy:
-                scheduler._released = released
-            # Re-sync the index with the node array so post-run queries see
-            # exactly the state incremental maintenance would have left.
-            node_occupants = index.node_occupants
-            where = index._where
-            node_occupants.clear()
-            for j, st in enumerate(states):
-                node = nodes[j]
-                # Positions are tracked only in the node array while the loop
-                # runs (nothing inside reads ``state.position``); materialise
-                # the interned Position objects on the way out.
-                st.position = node_pos[node]
-                occ = node_occupants.get(node)
-                if occ is None:
-                    node_occupants[node] = {st.name}
-                else:
-                    occ.add(st.name)
-                where[st.name] = node
-            index.updates = index_updates
+            if nodes is not None:
+                index.updates = index_updates
+                self._materialise(nodes)
+                self._nodes = None
             if tracer is not None:
                 tracer.add_span("engine.fused_loop", loop_started)
+                completions = decisions - first_decision - lattice
+                if completions:
+                    # Every inline completion is an advance with its sweep.
+                    tracer.count("engine.advance_decisions", completions)
+                    tracer.count("engine.sweep_calls", completions)
         return self._build_result()
+
+    def _materialise(self, nodes: List[int]) -> None:
+        # Leave the node array: positions and the index's node buckets take
+        # the values incremental maintenance would have left.
+        node_occupants = self._index.node_occupants
+        where = self._index._where
+        node_occupants.clear()
+        node_pos = self._node_pos
+        for state, node in zip(self.agents, nodes):
+            state.position = node_pos[node]
+            occ = node_occupants.get(node)
+            if occ is None:
+                node_occupants[node] = {state.name}
+            else:
+                occ.add(state.name)
+            where[state.name] = node
 
     # ------------------------------------------------------------------
     # bootstrapping
@@ -841,45 +706,42 @@ class AsyncEngine:
         self._check_output_termination()
 
     # ------------------------------------------------------------------
-    # decision handling
+    # the lattice path
     # ------------------------------------------------------------------
-    def _apply(self, decision: Decision) -> None:
-        cls = decision.__class__
-        if cls is Advance:
-            if self._tracer is not None:
-                self._tracer.count("engine.advance_decisions")
-            self._apply_advance(decision)
-        elif cls is Wake:
-            if self._tracer is not None:
-                self._tracer.count("engine.wake_decisions")
-            self._apply_wake(decision)
-        elif isinstance(decision, Wake):
-            if self._tracer is not None:
-                self._tracer.count("engine.wake_decisions")
-            self._apply_wake(decision)
-        elif isinstance(decision, Advance):
-            if self._tracer is not None:
-                self._tracer.count("engine.advance_decisions")
-            self._apply_advance(decision)
-        else:
-            raise SchedulerError(f"unknown decision type: {decision!r}")
-
-    def _apply_wake(self, decision: Wake) -> None:
-        state = self._agent(decision.agent)
-        if state.status != AgentStatus.DORMANT:
-            raise SchedulerError(f"agent {decision.agent!r} is not dormant")
-        self._wake(state)
-        self._check_output_termination()
-
-    def _apply_advance(self, decision: Advance) -> None:
-        state = self._agent(decision.agent)
-        if state.status != AgentStatus.ACTIVE or state.pending is None:
-            raise SchedulerError(
-                f"agent {decision.agent!r} cannot be advanced "
+    def _cannot_advance(self, mover: Any) -> SchedulerError:
+        if mover.__class__ is int and 0 <= mover < len(self.agents):
+            state = self.agents[mover]
+            return SchedulerError(
+                f"agent {state.name!r} cannot be advanced "
                 f"(status={state.status}, committed={state.pending is not None})"
             )
+        return SchedulerError(f"no agent at index {mover!r}")
+
+    def _apply(self, choice: Any) -> None:
+        """Carry out a move on the neighbor index: a park, a wake or a completion."""
+        if choice.__class__ is int:
+            mover, target = choice, _ONE
+        elif choice.__class__ is tuple and len(choice) == 2:
+            mover, target = choice
+        else:
+            raise SchedulerError(f"unknown move: {choice!r}")
+        if not (mover.__class__ is int and 0 <= mover < len(self.agents)):
+            raise self._cannot_advance(mover)
+        state = self.agents[mover]
+        tracer = self._tracer
+        if target is WAKE:
+            if tracer is not None:
+                tracer.count("engine.wake_decisions")
+            if state.status != AgentStatus.DORMANT:
+                raise SchedulerError(f"agent {state.name!r} is not dormant")
+            self._wake(state)
+            self._check_output_termination()
+            return
+        if tracer is not None:
+            tracer.count("engine.advance_decisions")
         pending = state.pending
-        target = decision.to
+        if pending is None:
+            raise self._cannot_advance(mover)
         if target.__class__ is not Fraction and not isinstance(target, Fraction):
             target = Fraction(target)
         t_num = target.numerator
@@ -890,16 +752,10 @@ class AsyncEngine:
         # target > 1          ⇔  t_num > t_den.
         if t_num * p_den <= p_num * t_den or t_num > t_den:
             raise SchedulerError(
-                f"illegal advance of {decision.agent!r} from {pending.progress} "
+                f"illegal advance of {state.name!r} from {pending.progress} "
                 f"to {target}"
             )
-        tracer = self._tracer
-        if tracer is not None:
-            t0 = tracer.clock()
-            self._sweep(state, pending, p_num, p_den, t_num, t_den)
-            tracer.add_span("engine.apply.sweep", t0)
-        else:
-            self._sweep(state, pending, p_num, p_den, t_num, t_den)
+        self._sweep(state, pending, p_num, p_den, t_num, t_den)
         if self._done:
             return
         if t_num == t_den:
@@ -919,17 +775,9 @@ class AsyncEngine:
             pending.p_num = t_num
             pending.p_den = t_den
             c_num = t_num if pending.forward else t_den - t_num
-            if tracer is not None:
-                t0 = tracer.clock()
-                fraction = self._index.set_edge(state.name, pending.edge, c_num, t_den)
-                tracer.add_span("engine.apply.index", t0)
-            else:
-                fraction = self._index.set_edge(state.name, pending.edge, c_num, t_den)
+            fraction = self._index.set_edge(state.name, pending.edge, c_num, t_den)
             state.position = Position.interior(pending.edge, fraction)
 
-    # ------------------------------------------------------------------
-    # movement mechanics
-    # ------------------------------------------------------------------
     def _sweep(
         self,
         mover: _AgentState,
@@ -1008,13 +856,7 @@ class AsyncEngine:
         assert pending is not None
         state.pending = None
         to_node = pending.to_node
-        tracer = self._tracer
-        if tracer is not None:
-            t0 = tracer.clock()
-            self._index.set_node(state.name, to_node)
-            tracer.add_span("engine.apply.index", t0)
-        else:
-            self._index.set_node(state.name, to_node)
+        self._index.set_node(state.name, to_node)
         state.position = self._node_pos[to_node]
         state.entry_port = pending.entry_port
         state.traversals += 1
@@ -1023,46 +865,6 @@ class AsyncEngine:
             return
         self._request_action(state)
         self._check_output_termination()
-
-    def _max_safe_advance(self, name: str) -> Optional[Fraction]:
-        state = self._agent(name)
-        pending = state.pending
-        if pending is None:
-            return None
-        index = self._index
-        frame = index.frames.get(pending.edge)
-        p_num = pending.p_num
-        p_den = pending.p_den
-        scanned = 0
-        nearest_d: Optional[int] = None
-        den = 0
-        if frame is not None:
-            den = frame.den
-            forward = pending.forward
-            lo = p_num * den  # occupant d is an obstacle iff d * p_den > lo
-            mover_name = state.name
-            for oname, num in frame.occupants.items():
-                if oname == mover_name:
-                    continue
-                scanned += 1
-                d = num if forward else den - num
-                if d * p_den > lo and (nearest_d is None or d < nearest_d):
-                    nearest_d = d
-        destination = index.node_occupants.get(pending.to_node)
-        if destination:
-            scanned += len(destination)
-        if self._tracer is not None:
-            self._tracer.count("engine.msa_calls")
-            self._tracer.count("engine.msa_agents_scanned", scanned)
-            self._tracer.count("engine.fraction_ops", scanned)
-        if nearest_d is not None:
-            # Interior obstacles are strictly below 1, so the nearest interior
-            # occupant wins over any agent waiting at the destination node.
-            nearest = frame.fraction(nearest_d)
-            return (pending.progress + nearest) / 2
-        if destination:
-            return (pending.progress + 1) / 2
-        return _ONE
 
     # ------------------------------------------------------------------
     # meetings
@@ -1213,7 +1015,7 @@ class AsyncEngine:
                 f"degree {len(row)}"
             )
         target, entry_port = row[port]
-        state.pending = _PendingTraversal(node, target, port, entry_port)
+        state.pending = _PendingTraversal(node, target, entry_port)
 
     def _stop_agent(self, state: _AgentState) -> None:
         if state.status != AgentStatus.STOPPED:
@@ -1236,10 +1038,6 @@ class AsyncEngine:
     # ------------------------------------------------------------------
     # termination
     # ------------------------------------------------------------------
-    def _check_passive_termination(self) -> None:
-        if self._stopped == len(self._agents):
-            self._finish(StopReason.ALL_STOPPED)
-
     def _check_output_termination(self) -> None:
         if not self._stop_when_all_output or self._done:
             return
@@ -1270,12 +1068,6 @@ class AsyncEngine:
     # ------------------------------------------------------------------
     # result construction and small helpers
     # ------------------------------------------------------------------
-    def _agent(self, name: str) -> _AgentState:
-        try:
-            return self._agents[name]
-        except KeyError:
-            raise SimulationError(f"unknown agent {name!r}") from None
-
     def _build_result(self, forced_reason: Optional[str] = None) -> RunResult:
         reason = forced_reason or self._reason or StopReason.ALL_STOPPED
         outputs = {

@@ -11,11 +11,13 @@ maintains the inverse maps instead:
 
 A sweep over edge ``{u, w}`` then consults exactly three buckets: the edge's
 frame (interior coincidences), and the two endpoint occupant sets (arrival
-meetings) — agents anywhere else cannot possibly lie on the edge.  The index
-is the engine's single source of truth for *where agents are*; the engine
-mutates it in lockstep with every position change (initial placement, partial
-advance, traversal completion), and nowhere else, which is the invariant that
-keeps it consistent:
+meetings) — agents anywhere else cannot possibly lie on the edge.  While some
+agent is parked inside an edge, the index is the engine's single source of
+truth for *where agents are*; the engine mutates it in lockstep with every
+position change (partial advance, traversal completion), and nowhere else.
+While nobody is parked, the engine keeps agents in a flat node array instead
+and rebuilds the node buckets from it on leaving it.  Either way these
+invariants hold whenever the index is read:
 
 * an agent is in exactly one bucket: one node set, or one frame;
 * frame numerators are canonical (measured from the smaller-id endpoint) and

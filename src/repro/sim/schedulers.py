@@ -6,11 +6,18 @@ and can starve one agent while the other works, subject only to every started
 edge traversal finishing eventually.  The engine discretises this power into a
 sequence of *decisions*; a scheduler is the adversary strategy producing them.
 
-Available decisions
--------------------
-* :class:`Advance` — move one agent along its committed edge up to an absolute
-  progress fraction (``1`` completes the traversal).
-* :class:`Wake` — wake a dormant agent (the adversary chooses wake-up times).
+Choosing a move
+---------------
+A scheduler's one method, :meth:`Scheduler.choose`, reads the engine's flat
+agent state (``engine.agents``, sorted by name; an agent is *eligible* while
+it has a committed traversal, ``pending is not None``) and returns
+
+* an agent index ``i`` — complete the traversal of ``engine.agents[i]``;
+* a pair ``(i, to)`` — advance agent ``i`` to the absolute progress ``to``, a
+  :class:`~fractions.Fraction` above its current progress (``1`` completes;
+  a park point comes from ``engine.max_safe_advance(i)``), or wake it when
+  ``to is WAKE`` (the adversary chooses wake-up times);
+* ``None`` — the adversary has no further moves.
 
 Schedulers provided
 -------------------
@@ -33,18 +40,17 @@ total-traversal count at which the adversary wakes them.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..exceptions import SchedulerError
+from ..exceptions import SchedulerError, SimulationError
 from ..runtime.registry import SCHEDULERS
+from .engine import WAKE, AgentStatus
 
 __all__ = [
-    "Decision",
-    "Advance",
-    "Wake",
+    "WAKE",
+    "Choice",
     "Scheduler",
     "RoundRobinScheduler",
     "RandomScheduler",
@@ -52,109 +58,58 @@ __all__ = [
     "GreedyAvoidingScheduler",
 ]
 
+#: What :meth:`Scheduler.choose` returns (see the module docstring).
+Choice = Union[int, Tuple[int, object], None]
 
-class Decision:
-    """Base class of scheduler decisions."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Advance(Decision):
-    """Advance ``agent`` along its committed edge to absolute progress ``to``.
-
-    ``to`` must exceed the agent's current progress and is at most 1;
-    ``to == 1`` completes the traversal.
-    """
-
-    __slots__ = ("agent", "to")
-
-    agent: str
-    to: Fraction
+_DORMANT = AgentStatus.DORMANT
 
 
-#: Shared constant so that fair schedulers do not allocate a Fraction per decision.
-_ONE = Fraction(1)
-
-#: ``Advance(name, 1)`` is frozen and agent names are few, so the fair
-#: schedulers share one completion decision per agent instead of allocating
-#: one per decision.
-_COMPLETE_CACHE: Dict[str, Advance] = {}
-
-
-def complete(agent: str) -> Advance:
-    """Shorthand for an :class:`Advance` that completes the traversal."""
-    decision = _COMPLETE_CACHE.get(agent)
-    if decision is None:
-        decision = _COMPLETE_CACHE[agent] = Advance(agent, _ONE)
-    return decision
-
-
-@dataclass(frozen=True)
-class Wake(Decision):
-    """Wake the dormant agent ``agent``."""
-
-    __slots__ = ("agent",)
-
-    agent: str
+def _eligible(agents) -> List[int]:
+    """Indices of the agents that have a committed traversal, in name order."""
+    return [i for i, state in enumerate(agents) if state.pending is not None]
 
 
 class Scheduler:
     """Base class of adversary strategies.
 
-    Subclasses implement :meth:`choose`; the base class takes care of the
-    optional wake schedule.  ``view`` is the engine's read-only view (see
-    :class:`repro.sim.engine.EngineView`).
+    Subclasses implement :meth:`choose` and open it with the wake check
+    ``if self._wakes: ...`` (see :meth:`_due_wake`).  A scheduler keeps its
+    state (cursors, generator, the agents it reads) across decisions, so one
+    instance drives one engine run.
     """
 
     def __init__(self, wake_schedule: Optional[Dict[str, int]] = None) -> None:
-        self._wake_schedule = dict(wake_schedule or {})
-        #: Sorted, still-dormant portion of the wake schedule (lazily built).
-        #: Woken agents never become dormant again, so pruning them preserves
-        #: the decision sequence while keeping the per-decision scan short.
-        self._wake_pending: Optional[List[Tuple[str, int]]] = None
+        #: Sorted ``(name, threshold)`` pairs of the wake schedule, pruned of
+        #: agents already awake (woken agents never become dormant again, so
+        #: pruning keeps the per-decision check short without changing it).
+        self._wakes: List[Tuple[str, int]] = sorted(dict(wake_schedule or {}).items())
 
-    # ------------------------------------------------------------------
-    def decide(self, view) -> Optional[Decision]:
-        """Return the next decision, or ``None`` if the adversary is done."""
-        wake = self._pending_wake(view)
-        if wake is not None:
-            return wake
-        return self.choose(view)
-
-    def choose(self, view) -> Optional[Decision]:
-        """Strategy-specific decision (wake handling already done)."""
+    def choose(self, engine) -> Choice:
+        """The next move of the adversary (see the module docstring)."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    def _pending_wake(self, view) -> Optional[Wake]:
-        schedule = self._wake_schedule
-        if not schedule:
-            return None
-        pending = self._wake_pending
-        if pending is None:
-            pending = self._wake_pending = sorted(schedule.items())
-        if not pending:
-            return None
-        total = view.total_traversals()
-        is_dormant = view.is_dormant
-        result: Optional[Wake] = None
-        prune = False
-        for name, threshold in pending:
-            if is_dormant(name):
+    def _due_wake(self, engine) -> Optional[Tuple[int, object]]:
+        """The first scheduled agent that is still dormant and due, as a wake."""
+        agents = engine.agents
+        total = engine.total_traversals
+        result = None
+        dormant = []
+        for name, threshold in self._wakes:
+            index = engine.index_of(name)
+            if index is None:
+                raise SimulationError(f"unknown agent {name!r}")
+            if agents[index].status == _DORMANT:
+                dormant.append((name, threshold))
                 if result is None and total >= threshold:
-                    result = Wake(name)
-                    if not prune:
-                        break
-            else:
-                prune = True
-        if prune:
-            self._wake_pending = [item for item in pending if is_dormant(item[0])]
+                    result = (index, WAKE)
+        self._wakes = dormant
         return result
 
-    @staticmethod
-    def _sorted_eligible(view) -> List[str]:
-        return sorted(view.eligible_agents())
+
+class _Nobody:
+    """Stands in the round-robin cycle for a name that is no agent."""
+
+    pending = None
 
 
 class RoundRobinScheduler(Scheduler):
@@ -167,45 +122,37 @@ class RoundRobinScheduler(Scheduler):
     ) -> None:
         super().__init__(wake_schedule)
         self._order = list(order) if order is not None else None
-        self._cursor = 0
+        #: Each call returns the next agent state of the cycle ``_order``:
+        #: the cursor of the round robin (built at the first decision).
+        self._probe = None
 
-    def choose(self, view) -> Optional[Decision]:
-        is_eligible = getattr(view, "is_eligible", None)
-        if is_eligible is None:
-            return self._choose_scan(view)
-        if self._order is None:
-            self._order = sorted(view.agent_names())
-        order = self._order
-        n = len(order)
-        cursor = self._cursor
-        for i in range(n):
-            name = order[(cursor + i) % n]
-            if is_eligible(name):
-                self._cursor = cursor + i + 1
-                return complete(name)
+    def choose(self, engine) -> Choice:
+        if self._wakes:
+            wake = self._due_wake(engine)
+            if wake is not None:
+                return wake
+        probe = self._probe
+        if probe is None:
+            agents = engine.agents
+            if self._order is None:
+                self._order = sorted(state.name for state in agents)
+            positions = [engine.index_of(name) for name in self._order]
+            probe = self._probe = itertools.cycle(
+                [_Nobody if i is None else agents[i] for i in positions] or [_Nobody]
+            ).__next__
+        # First probe outside the scan: the next agent is almost always ready.
+        state = probe()
+        if state.pending is not None:
+            return state.index
+        for _ in range(len(self._order) - 1):
+            state = probe()
+            if state.pending is not None:
+                return state.index
         # Nobody in the fixed cycle is eligible: either nobody is (the run is
         # over for this adversary) or the eligible agents sit outside the
-        # cycle.  The cursor moves exactly as far as the probes above did.
-        eligible = view.eligible_agents()
-        if not eligible:
-            return None
-        self._cursor = cursor + n
-        return complete(sorted(eligible)[0])
-
-    def _choose_scan(self, view) -> Optional[Decision]:
-        # Fallback for minimal view objects without ``is_eligible``.
-        eligible = set(view.eligible_agents())
-        if not eligible:
-            return None
-        if self._order is None:
-            self._order = sorted(view.agent_names())
-        for _ in range(len(self._order)):
-            name = self._order[self._cursor % len(self._order)]
-            self._cursor += 1
-            if name in eligible:
-                return complete(name)
-        # Fall back to any eligible agent not present in the fixed order.
-        return complete(sorted(eligible)[0])
+        # cycle.  The cursor has moved once round the cycle, as the probes did.
+        eligible = _eligible(engine.agents)
+        return eligible[0] if eligible else None
 
 
 class RandomScheduler(Scheduler):
@@ -225,18 +172,25 @@ class RandomScheduler(Scheduler):
         self._rng = random.Random(seed)
         self._weights = dict(weights or {})
 
-    def choose(self, view) -> Optional[Decision]:
-        eligible = self._sorted_eligible(view)
+    def choose(self, engine) -> Choice:
+        if self._wakes:
+            wake = self._due_wake(engine)
+            if wake is not None:
+                return wake
+        agents = engine.agents
+        eligible = _eligible(agents)
         if not eligible:
             return None
-        return complete(self._pick(eligible))
-
-    def _pick(self, eligible: List[str]) -> str:
-        """Draw one of the sorted ``eligible`` names (one ``random()`` call)."""
-        weights = [max(self._weights.get(name, 1.0), 0.0) for name in eligible]
-        if sum(weights) <= 0:
-            weights = [1.0] * len(eligible)
-        return self._rng.choices(eligible, weights=weights, k=1)[0]
+        if self._weights:
+            weights = [
+                max(self._weights.get(agents[i].name, 1.0), 0.0) for i in eligible
+            ]
+            if sum(weights) > 0:
+                return self._rng.choices(eligible, weights=weights, k=1)[0]
+        # Unweighted, ``rng.choices(eligible, weights=[1.0] * m)`` bisects the
+        # integer cumulative weights at ``random() * m``: the floor of it, so
+        # one ``random()`` indexes the eligible list directly.
+        return eligible[int(self._rng.random() * len(eligible))]
 
 
 class LazyScheduler(Scheduler):
@@ -245,7 +199,7 @@ class LazyScheduler(Scheduler):
     Parameters
     ----------
     starved:
-        Name of the starved agent.
+        Name of the starved agent.  A name that is no agent starves nobody.
     release_after:
         Release the starved agent once the *other* agents have jointly
         completed this many traversals.  ``None`` means "only release when no
@@ -269,30 +223,32 @@ class LazyScheduler(Scheduler):
         """Whether the starved agent has been released."""
         return self._released
 
-    def choose(self, view) -> Optional[Decision]:
-        eligible = self._sorted_eligible(view)
+    def choose(self, engine) -> Choice:
+        if self._wakes:
+            wake = self._due_wake(engine)
+            if wake is not None:
+                return wake
+        agents = engine.agents
+        eligible = _eligible(agents)
         if not eligible:
             return None
-        others = [name for name in eligible if name != self._starved]
         if not self._released:
-            others_cost = sum(
-                view.agent_traversals(name)
-                for name in view.agent_names()
-                if name != self._starved
+            starved = engine.index_of(self._starved)
+            others = [i for i in eligible if i != starved]
+            others_cost = engine.total_traversals - (
+                0 if starved is None else agents[starved].traversals
             )
-            threshold_reached = (
+            if not others or (
                 self._release_after is not None and others_cost >= self._release_after
-            )
-            if threshold_reached or not others:
+            ):
                 self._released = True
-        if not self._released and others:
-            name = others[self._cursor % len(others)]
-            self._cursor += 1
-            return complete(name)
-        # Released: behave like round-robin over everybody still eligible.
-        name = eligible[self._cursor % len(eligible)]
+            else:
+                # Starving: round-robin over everybody else.
+                eligible = others
+        # Released: round-robin over everybody still eligible.
+        index = eligible[self._cursor % len(eligible)]
         self._cursor += 1
-        return complete(name)
+        return index
 
 
 class GreedyAvoidingScheduler(Scheduler):
@@ -322,54 +278,35 @@ class GreedyAvoidingScheduler(Scheduler):
         if patience < 1:
             raise SchedulerError("patience must be at least 1")
         self._patience = patience
-        self._passed_over: Dict[str, int] = {}
+        #: Per agent index: decisions the agent was passed over in a row.
+        self._passed_over: List[int] = []
 
-    def choose(self, view) -> Optional[Decision]:
-        eligible = self._sorted_eligible(view)
+    def choose(self, engine) -> Choice:
+        if self._wakes:
+            wake = self._due_wake(engine)
+            if wake is not None:
+                return wake
+        eligible = _eligible(engine.agents)
         if not eligible:
             return None
-        for name in eligible:
-            self._passed_over.setdefault(name, 0)
-
-        safe: List[str] = []
-        blocked: List[str] = []
-        for name in eligible:
-            if view.max_safe_advance(name) == _ONE:
-                safe.append(name)
-            else:
-                blocked.append(name)
-
-        # An agent whose patience is exhausted must complete now, meetings or not.
-        exhausted = [
-            name for name in eligible if self._passed_over[name] >= self._patience
-        ]
-        if exhausted:
-            chosen = max(exhausted, key=lambda name: (self._passed_over[name], name))
-            return self._complete(chosen, eligible)
-
-        if safe:
-            # Relieve the most-starved agent whose completion is harmless.
-            chosen = max(safe, key=lambda name: (self._passed_over[name], name))
-            return self._complete(chosen, eligible)
-
-        # Nobody can complete without a meeting and nobody is forced yet:
-        # park the most-starved blocked agent just short of its obstacle.
-        chosen = max(blocked, key=lambda name: (self._passed_over[name], name))
-        target = view.max_safe_advance(chosen)
-        for name in eligible:
-            self._passed_over[name] += 1
-        current = view.agent_progress(chosen)
-        if target is None or target <= current:
-            # No room to park: fall back to completing (forced meeting).
-            return complete(chosen)
-        return Advance(chosen, target)
-
-    def _complete(self, chosen: str, eligible: Iterable[str]) -> Advance:
-        for name in eligible:
-            if name != chosen:
-                self._passed_over[name] += 1
-        self._passed_over[chosen] = 0
-        return complete(chosen)
+        passed = self._passed_over
+        if not passed:
+            passed.extend([0] * len(engine.agents))
+        safe_advance = engine.max_safe_advance
+        safe = [i for i in eligible if safe_advance(i) == 1]
+        # An agent whose patience is exhausted must complete now, meetings or
+        # not; otherwise relieve the most-starved agent whose completion is
+        # harmless; if nobody can complete without a meeting, park the
+        # most-starved agent just short of its obstacle.  Ties go to the
+        # later index, i.e. the larger name.
+        exhausted = [i for i in eligible if passed[i] >= self._patience]
+        chosen = max(exhausted or safe or eligible, key=lambda i: (passed[i], i))
+        for i in eligible:
+            passed[i] += 1
+        if exhausted or safe:
+            passed[chosen] = 0
+            return chosen
+        return (chosen, safe_advance(chosen))
 
 
 # ----------------------------------------------------------------------

@@ -130,8 +130,3 @@ class FaultPlan:
         if self.drop_rate <= 0.0:
             return False
         return self._drop_rng.random() < self.drop_rate
-
-    @property
-    def faulty_agents(self) -> Tuple[int, ...]:
-        """Agents scheduled to crash (by tick or activation count), sorted."""
-        return tuple(sorted(set(self.crash_tick_of) | set(self.activation_limit_of)))

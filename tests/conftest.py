@@ -9,7 +9,6 @@ from repro.exploration.cost_model import SimulationCostModel
 from repro.exploration.uxs import PseudoRandomUXS
 from repro.exploration.cost_model import CostModel
 from repro.graphs import families
-from tests.golden import gen_engine_records
 
 # Hypothesis: no deadline (the walks are CPU-bound and timing-sensitive on CI
 # machines), a moderate number of examples, and no health-check noise for
@@ -51,12 +50,6 @@ def sim_model() -> SimulationCostModel:
 def tiny_model() -> TinyCostModel:
     """A cost model with very short exploration sequences (structural tests)."""
     return TinyCostModel()
-
-
-@pytest.fixture(scope="session")
-def generic_loop():
-    """A context manager: every engine run inside it takes the generic loop."""
-    return gen_engine_records.generic_loop
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
-"""Golden engine-record fixtures: pre-refactor records, pinned byte-for-byte.
+"""Golden engine-record fixtures: records pinned byte-for-byte.
 
 ``SCENARIOS`` samples every problem kind and every scheduler across several
 graph families.  ``python -m tests.golden.gen_engine_records`` runs each
 scenario twice (untraced and traced) and stores the results in
 ``engine_records.json``; the fixtures in the repository were generated by the
 engine *before* the neighbor-index / integer-lattice refactor, so
-``tests/test_engine_equivalence.py`` proves the refactored engine reproduces
-the old engine's records exactly.
+``tests/test_engine_equivalence.py`` proves the current engine reproduces the
+old engine's records exactly.
 
 Two comparison granularities:
 
@@ -18,26 +18,29 @@ Two comparison granularities:
   refactor intentionally changes), and the call counts of the stable spans
   (span *seconds* are wall-clock noise and never comparable).
 
-The traced projections are those of the generic decision loop: its
-per-decision spans and counters are what they pin.  A traced run under a
-complete-traversal adversary takes the fused loop, which records the same
-events and decision/traversal/meeting counters but no per-decision spans, so
-the generator records (and the suite replays) the traced runs inside
-:func:`generic_loop`.
+The traced projections in ``engine_records.json`` were recorded when the
+engine still had a second, generic decision loop, which also timed every
+decision (``DELETED_SPANS``); the comparison leaves those span counts out.
+
+``python -m tests.golden.gen_engine_records --generic`` writes the second
+fixture, ``engine_generic_records.json``: the records of the generic loop for
+seeded cross-check specs under every adversary (:func:`cross_check_specs`)
+and for hand-built engine runs no spec expresses (:func:`direct_cases`).
 """
 
 from __future__ import annotations
 
-import contextlib
+import hashlib
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
-from unittest import mock
+from typing import Any, Callable, Dict, List, Tuple
 
-import repro.sim.engine
 from repro.runtime.spec import ScenarioSpec
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "engine_records.json"
+GENERIC_FIXTURE_PATH = Path(__file__).resolve().parent / "engine_generic_records.json"
 
 #: Trace counters that must not change across the refactor: what the engine
 #: *did* (decisions, traversals, meetings, sweeps), as opposed to what the
@@ -56,11 +59,16 @@ INVARIANT_COUNTERS = frozenset(
 )
 
 #: Spans whose *call counts* are pinned.  Seconds are never compared, and
-#: spans added by the refactor (e.g. an apply-phase breakdown) are allowed.
+#: spans added by the refactor (e.g. the loop's own span) are allowed.
 INVARIANT_SPANS = (
     "run",
     "engine.run",
     "engine.bootstrap",
+)
+
+#: The generic decision loop's per-decision spans.  ``engine_records.json``
+#: still holds their call counts; the code that emitted them is gone.
+DELETED_SPANS = (
     "engine.apply",
     "engine.check_termination",
     "scheduler.decide",
@@ -143,20 +151,6 @@ def scenarios() -> List[Tuple[str, ScenarioSpec]]:
     return specs
 
 
-@contextlib.contextmanager
-def generic_loop() -> Iterator[None]:
-    """Every engine run inside the block takes the generic decision loop.
-
-    ``AsyncEngine.run`` picks its loop with ``takes_fused_loop`` alone, so
-    patching that predicate is the one way to force the generic loop under an
-    adversary the fused loop replays.
-    """
-    with mock.patch.object(
-        repro.sim.engine, "takes_fused_loop", lambda scheduler, names: False
-    ):
-        yield
-
-
 def canonical(payload: Any) -> str:
     """Canonical JSON — the byte-identity yardstick for record payloads."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -183,6 +177,17 @@ def trace_projection(trace: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
+def pinned_projection(projection: Dict[str, Any]) -> Dict[str, Any]:
+    """A fixture projection without the span counts of ``DELETED_SPANS``."""
+    pinned = dict(projection)
+    pinned["span_counts"] = {
+        name: count
+        for name, count in projection["span_counts"].items()
+        if name not in DELETED_SPANS
+    }
+    return pinned
+
+
 def split_traced(record_dict: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, Any]]:
     """Split a traced record dict into (record-without-trace, projection)."""
     extra = dict(record_dict.get("extra", ()))
@@ -198,8 +203,7 @@ def build_fixture() -> Dict[str, Any]:
     entries: Dict[str, Any] = {}
     for name, spec in scenarios():
         untraced = run(spec).to_dict()
-        with generic_loop():
-            traced = run(spec, trace=True).to_dict()
+        traced = run(spec, trace=True).to_dict()
         traced_record, projection = split_traced(traced)
         entries[name] = {
             "spec": spec.to_dict(),
@@ -219,13 +223,274 @@ def build_fixture() -> Dict[str, Any]:
     }
 
 
-def main() -> None:
-    fixture = build_fixture()
-    FIXTURE_PATH.write_text(
-        json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8"
+# ----------------------------------------------------------------------
+# the generic-loop fixture: cross-check specs and direct engine cases
+# ----------------------------------------------------------------------
+#: Per adversary, the second team cell's extra spec fields.  Team members
+#: are named ``sgl-<label>`` with labels 3, 5, 7, so the lazy adversaries'
+#: default ``starved="agent-2"`` starves nobody on teams; the k=3 cells
+#: starve a real member instead.  The random k=3 cell starts a member dormant
+#: (woken by a visit, through the loop's full meeting path).
+_TEAM_EXTRAS = {
+    "random": {"dormant": (1,)},
+    "lazy": {"scheduler_params": {"starved": "sgl-5", "release_after": 300}},
+    "delay_until_stop": {"scheduler_params": {"starved": "sgl-5"}},
+}
+
+
+def cross_check_specs() -> List[Tuple[str, ScenarioSpec]]:
+    """Seeded specs outside the golden sample, under every adversary.
+
+    The fair cells (round-robin, random, lazy, delay-until-stop) never park
+    an agent; the avoider cells park agents inside edges, so they pin the
+    lattice path beyond the three avoider goldens.
+    """
+    specs: List[Tuple[str, ScenarioSpec]] = []
+    rng = random.Random(20260808)
+    for i in range(4):
+        specs.append((f"fair-rv-{i}", ScenarioSpec(
+            problem="rendezvous",
+            family=rng.choice(["ring", "path", "random_tree"]),
+            size=rng.randint(5, 9),
+            seed=rng.randint(0, 99),
+        )))
+    for i in range(2):
+        specs.append((f"fair-teams-{i}", ScenarioSpec(
+            problem="teams",
+            family="ring",
+            size=rng.randint(4, 5),
+            team_size=2,
+            seed=rng.randint(0, 99),
+        )))
+    for scheduler in sorted(_TEAM_EXTRAS):
+        rng = random.Random(f"fused-vs-generic:{scheduler}")
+        for i in range(3):
+            specs.append((f"{scheduler}-rv-{i}", ScenarioSpec(
+                problem="rendezvous",
+                family=rng.choice(["ring", "path", "random_tree", "erdos_renyi"]),
+                size=rng.randint(5, 9),
+                seed=rng.randint(0, 99),
+                scheduler=scheduler,
+            )))
+        for team_size, extra in ((2, {}), (3, _TEAM_EXTRAS[scheduler])):
+            specs.append((f"{scheduler}-teams-k{team_size}", ScenarioSpec(
+                problem="teams",
+                family=rng.choice(["ring", "path"]),
+                size=3,
+                team_size=team_size,
+                seed=rng.randint(0, 99),
+                scheduler=scheduler,
+                **extra,
+            )))
+    rng = random.Random("avoider")
+    for i in range(4):
+        specs.append((f"avoider-rv-{i}", ScenarioSpec(
+            problem=rng.choice(["rendezvous", "baseline"]) if i else "rendezvous",
+            family=rng.choice(["ring", "path", "random_tree", "erdos_renyi"]),
+            size=rng.randint(6, 12),
+            seed=rng.randint(0, 99),
+            labels=(rng.randint(1, 20), rng.randint(21, 60)),
+            scheduler="avoider",
+            scheduler_params={"patience": rng.choice([8, 32, 128])},
+            max_traversals=20_000,
+            on_cost_limit="return",
+        )))
+    for team_size, extra in ((2, {}), (3, {"dormant": (1,)})):
+        specs.append((f"avoider-teams-k{team_size}", ScenarioSpec(
+            problem="teams",
+            family=rng.choice(["ring", "path"]),
+            size=3,
+            team_size=team_size,
+            seed=rng.randint(0, 99),
+            scheduler="avoider",
+            scheduler_params={"patience": 3},
+            max_traversals=15_000,
+            on_cost_limit="return",
+            **extra,
+        )))
+    return [(name, spec.validate()) for name, spec in specs]
+
+
+def _plain(value: Any) -> Any:
+    """JSON-ready copy of a result value (sets sorted, fractions as text)."""
+    if isinstance(value, dict):
+        return {str(key): _plain(item) for key, item in sorted(value.items(), key=repr)}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted((_plain(item) for item in value), key=repr)
+    if isinstance(value, Fraction):
+        return str(value)
+    return value
+
+
+def result_payload(result: Any) -> Dict[str, Any]:
+    """A ``RunResult`` as plain JSON; the meetings as count plus digest."""
+    meetings = [
+        [
+            event.decision_index,
+            event.total_traversals,
+            event.node,
+            _plain(event.edge),
+            [
+                [snap.name, snap.label, snap.status, _plain(snap.public)]
+                for snap in event.participants
+            ],
+        ]
+        for event in result.meetings
+    ]
+    return {
+        "reason": result.reason,
+        "met": result.met,
+        "decisions": result.decisions,
+        "total_traversals": result.total_traversals,
+        "traversals_by_agent": dict(sorted(result.traversals_by_agent.items())),
+        "outputs": _plain(result.outputs),
+        "output_cost": result.output_cost,
+        "meetings": len(meetings),
+        "meetings_sha256": hashlib.sha256(canonical(meetings).encode()).hexdigest(),
+    }
+
+
+def _rendezvous_engine(scheduler: Any, *, dormant: bool = False, budget: int = 3000):
+    from repro.core.rendezvous import RendezvousController
+    from repro.exploration.cost_model import SimulationCostModel
+    from repro.graphs import families
+    from repro.sim import AgentSpec, AsyncEngine
+
+    model = SimulationCostModel()
+    agents = [
+        AgentSpec(RendezvousController(name, label, model), start,
+                  dormant=dormant and name == "b")
+        for name, label, start in (("a", 6, 0), ("b", 11, 3), ("c", 9, 5))
+    ]
+    return AsyncEngine(
+        families.ring(8), agents, scheduler, max_traversals=budget,
+        on_cost_limit="return",
     )
+
+
+def _teams_run(scheduler: Any) -> Any:
+    from repro.exploration.cost_model import SimulationCostModel
+    from repro.graphs import families
+    from repro.teams.problems import TeamMember, run_sgl
+
+    members = [
+        TeamMember(label=3, start_node=0),
+        TeamMember(label=5, start_node=2, dormant=True),
+        TeamMember(label=7, start_node=3),
+    ]
+    return run_sgl(
+        families.ring(5), members, scheduler=scheduler,
+        model=SimulationCostModel(), max_traversals=15_000,
+        on_cost_limit="return",
+    ).result
+
+
+def direct_cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
+    """Hand-built engine runs no spec expresses, each returning its payload.
+
+    Weighted random adversaries, the scheduler state each run leaves behind
+    (generator, lazy cursor and release), and wake schedules under every
+    adversary, on rendezvous and teams.
+    """
+    from repro.sim.schedulers import (
+        GreedyAvoidingScheduler,
+        LazyScheduler,
+        RandomScheduler,
+        RoundRobinScheduler,
+    )
+
+    def random_case(**kwargs):
+        def case():
+            scheduler = RandomScheduler(**kwargs)
+            payload = result_payload(_rendezvous_engine(scheduler).run())
+            payload["rng_state"] = _plain(scheduler._rng.getstate())
+            return payload
+        return case
+
+    def lazy_case(release_after):
+        def case():
+            scheduler = LazyScheduler("b", release_after=release_after)
+            payload = result_payload(_rendezvous_engine(scheduler).run())
+            payload["cursor"] = scheduler._cursor
+            payload["released"] = scheduler.released
+            return payload
+        return case
+
+    wake_makers = {
+        "round_robin": lambda wake: RoundRobinScheduler(wake_schedule=wake),
+        "random": lambda wake: RandomScheduler(seed=4, wake_schedule=wake),
+        "lazy": lambda wake: LazyScheduler("a", release_after=40, wake_schedule=wake),
+        "avoider": lambda wake: GreedyAvoidingScheduler(patience=5, wake_schedule=wake),
+    }
+
+    def wake_rv_case(make):
+        return lambda: result_payload(
+            _rendezvous_engine(make({"b": 25}), dormant=True).run()
+        )
+
+    def wake_teams_case(make):
+        return lambda: result_payload(_teams_run(make({"sgl-5": 60})))
+
+    cases: Dict[str, Callable[[], Dict[str, Any]]] = {
+        "random-weighted": random_case(seed=3, weights={"a": 4.0, "c": 0.25, "x": 9.0}),
+        "random-all-zero-weights": random_case(
+            seed=5, weights={"a": 0.0, "b": 0.0, "c": -1.0}
+        ),
+        "random-state-uniform": random_case(seed=11),
+        "random-state-weighted": random_case(seed=11, weights={"b": 2.0}),
+        "lazy-state-delay_until_stop": lazy_case(None),
+        "lazy-state-lazy": lazy_case(200),
+    }
+    for name, make in sorted(wake_makers.items()):
+        cases[f"wake-rv-{name}"] = wake_rv_case(make)
+        cases[f"wake-teams-{name}"] = wake_teams_case(make)
+    return cases
+
+
+def build_generic_fixture() -> Dict[str, Any]:
+    """The cross-check specs' records and the direct cases' payloads."""
+    from repro.runtime.runner import run
+
+    specs = {
+        name: {"spec": spec.to_dict(), "record": run(spec).to_dict()}
+        for name, spec in cross_check_specs()
+    }
+    direct = {name: case() for name, case in direct_cases().items()}
+    return {
+        "_meta": {
+            "generator": "tests/golden/gen_engine_records.py --generic",
+            "note": (
+                "Generated by the generic decision loop before the engine "
+                "had one loop; regenerate only with an engine whose records "
+                "are proven byte-identical."
+            ),
+        },
+        "specs": specs,
+        "direct": direct,
+    }
+
+
+def _write(path: Path, fixture: Dict[str, Any]) -> None:
+    path.write_text(json.dumps(fixture, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def main(argv: List[str]) -> None:
+    if "--generic" in argv:
+        fixture = build_generic_fixture()
+        _write(GENERIC_FIXTURE_PATH, fixture)
+        print(
+            f"wrote {len(fixture['specs'])} specs, {len(fixture['direct'])} "
+            f"direct cases -> {GENERIC_FIXTURE_PATH}"
+        )
+        return
+    fixture = build_fixture()
+    _write(FIXTURE_PATH, fixture)
     print(f"wrote {len(fixture['scenarios'])} scenarios -> {FIXTURE_PATH}")
 
 
 if __name__ == "__main__":
-    main()
+    import sys
+
+    main(sys.argv[1:])

@@ -20,9 +20,6 @@ class TestCompareBounds:
         assert isinstance(comparison, BoundComparison)
         assert comparison.rv_bound > 0 and comparison.baseline_bound > 0
         assert comparison.label_length == 2
-        assert comparison.improvement_factor == pytest.approx(
-            comparison.baseline_bound / comparison.rv_bound
-        )
 
     def test_default_model_is_the_paper_model(self):
         comparisons = compare_bounds([2], [1])

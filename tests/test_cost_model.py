@@ -151,12 +151,6 @@ class TestAlgorithmStructureLengths:
         )
         assert length >= minimum
 
-    def test_rv_length_through_piece_accumulates(self, model):
-        bits = modified_label(2)
-        one = model.rv_length_through_piece(bits, 1)
-        two = model.rv_length_through_piece(bits, 2)
-        assert two == one + model.len_Omega(1) + model.piece_length(2, bits)
-
 
 class TestBounds:
     def test_modified_label_length(self):

@@ -694,6 +694,9 @@ def _fold(queue: WorkQueue, uids, now: float) -> dict:
             state: sum(1 for entry in states if entry["state"] == state)
             for state in ("done", "cancelled", "claimed", "pending")
         },
+        "cancelled_cells": sum(
+            entry["cells"] for entry in states if entry["state"] == "cancelled"
+        ),
         **{
             counter: sum(entry[counter] for entry in finished)
             for counter in ("executed", "salvaged", "cached")

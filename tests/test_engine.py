@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import weakref
 from fractions import Fraction
@@ -21,12 +20,11 @@ from repro.sim import (
     StopReason,
 )
 from repro.sim.actions import Move, Stop
+from repro.sim.engine import AgentStatus
 from repro.sim.schedulers import (
-    Advance,
     GreedyAvoidingScheduler,
     RandomScheduler,
     Scheduler,
-    Wake,
 )
 
 
@@ -45,16 +43,22 @@ def scripted(name: str, ports: Sequence[int], label: Optional[int] = None) -> Fu
 
 
 class ScriptedScheduler(Scheduler):
-    """Replay a fixed list of decisions (for precise engine tests)."""
+    """Replay a fixed list of ``(agent name, target)`` moves (for precise engine tests)."""
 
-    def __init__(self, decisions):
+    def __init__(self, moves):
         super().__init__()
-        self._decisions = list(decisions)
+        self._moves = list(moves)
 
-    def choose(self, view):
-        if not self._decisions:
+    def choose(self, engine):
+        if not self._moves:
             return None
-        return self._decisions.pop(0)
+        name, to = self._moves.pop(0)
+        return (engine.index_of(name), to)
+
+
+def agent(engine, name):
+    """The engine's state of agent ``name``, as a scheduler reads it."""
+    return engine.agents[engine.index_of(name)]
 
 
 class TestBasicExecution:
@@ -68,9 +72,11 @@ class TestBasicExecution:
         assert not result.met
 
     @pytest.mark.parametrize("generic", [False, True], ids=["fused", "generic"])
-    def test_move_subclass_moves_from_the_node_reached(self, generic, generic_loop):
-        # Both loops hand a Move subclass to the generic action handler,
-        # which must see the node the traversal just reached.
+    def test_move_subclass_moves_from_the_node_reached(self, generic):
+        # Both paths hand a Move subclass to the generic action handler,
+        # which must see the node the traversal just reached: a bare index
+        # completes on the node array, an ``(index, 1)`` pair on the lattice
+        # path.
         class Hop(Move):
             pass
 
@@ -81,16 +87,18 @@ class TestBasicExecution:
 
             return program(obs)
 
+        scheduler = (
+            ScriptedScheduler([("a", Fraction(1))] * 5) if generic else RoundRobinScheduler()
+        )
         engine = AsyncEngine(
             families.path(5),
             [AgentSpec(FunctionController("a", factory, label=1), 0)],
-            RoundRobinScheduler(),
+            scheduler,
         )
-        with generic_loop() if generic else contextlib.nullcontext():
-            result = engine.run()
+        result = engine.run()
         assert result.reason == StopReason.ALL_STOPPED
         assert result.total_traversals == 4
-        assert engine.view.agent_position("a").node == 4
+        assert agent(engine, "a").position.node == 4
 
     def test_two_agents_round_robin_costs_add_up(self, ring6):
         a = scripted("a", [0, 0])
@@ -146,9 +154,7 @@ class TestMeetings:
         engine = AsyncEngine(
             ring6,
             [AgentSpec(a, 0), AgentSpec(b, 1)],
-            ScriptedScheduler(
-                [Advance("a", Fraction(1, 2)), Advance("b", Fraction(1))]
-            ),
+            ScriptedScheduler([("a", Fraction(1, 2)), ("b", Fraction(1))]),
             rendezvous=("a", "b"),
         )
         result = engine.run()
@@ -309,8 +315,8 @@ class TestTermination:
 
     def test_cost_limit_can_return_instead(self, ring6):
         # One walker alone, then two with no rendezvous goal that burn the
-        # whole budget through the fused loop (round_robin, random) and the
-        # generic one (avoider).
+        # whole budget on the node array (round_robin, random) and on the
+        # lattice path (the avoider parks agents).
         cases = [(RoundRobinScheduler(), 1)] + [
             (scheduler, 2)
             for scheduler in (RoundRobinScheduler(), RandomScheduler(seed=1),
@@ -397,6 +403,8 @@ class TestValidationAndErrors:
 
 
 class TestEngineView:
+    """What a scheduler reads: the flat agent state and ``max_safe_advance``."""
+
     def test_view_reports_positions_and_progress(self, ring6):
         a = scripted("a", [0, 0], label=1)
         b = StationaryController("b", label=2)
@@ -404,15 +412,14 @@ class TestEngineView:
             ring6, [AgentSpec(a, 0), AgentSpec(b, 1)], RoundRobinScheduler()
         )
         engine._bootstrap()
-        view = engine.view
-        assert set(view.agent_names()) == {"a", "b"}
-        assert view.eligible_agents() == ["a"]
-        assert view.agent_status("b") == "stopped"
-        assert view.agent_position("a").node == 0
-        assert view.agent_progress("a") == 0
-        assert view.total_traversals() == 0
-        assert view.agent_traversals("a") == 0
-        assert not view.is_dormant("a")
+        assert {state.name for state in engine.agents} == {"a", "b"}
+        assert [state.name for state in engine.agents if state.pending is not None] == ["a"]
+        assert agent(engine, "b").status == "stopped"
+        assert agent(engine, "a").position.node == 0
+        assert agent(engine, "a").pending.progress == 0
+        assert engine.total_traversals == 0
+        assert agent(engine, "a").traversals == 0
+        assert agent(engine, "a").status != AgentStatus.DORMANT
 
     @pytest.mark.parametrize(
         "scheduler",
@@ -424,14 +431,15 @@ class TestEngineView:
     ):
         # A finished run holds every meeting event; if the engine sat in a
         # reference cycle (say, with a stored view) all of it would stay
-        # alive until the cyclic collector ran.
+        # alive until the cyclic collector ran.  The avoider ("generic")
+        # also parks agents, so its run takes the lattice path.
         engine = AsyncEngine(
             ring6,
             [AgentSpec(scripted("a", [0, 0, 0], label=1), 0),
              AgentSpec(StationaryController("b", label=2), 1)],
             scheduler(),
         )
-        assert engine.view.agent_names()
+        assert engine.agents
         assert engine.run().meetings
         ref = weakref.ref(engine)
         gc.disable()
@@ -450,7 +458,7 @@ class TestEngineView:
             ring6, [AgentSpec(a, 0), AgentSpec(b, 1)], RoundRobinScheduler()
         )
         engine._bootstrap()
-        safe = engine.view.max_safe_advance("a")
+        safe = engine.max_safe_advance(engine.index_of("a"))
         assert safe is not None and Fraction(0) < safe < Fraction(1)
         # Without an obstacle the whole traversal is safe.
         engine2 = AsyncEngine(
@@ -459,5 +467,5 @@ class TestEngineView:
             RoundRobinScheduler(),
         )
         engine2._bootstrap()
-        assert engine2.view.max_safe_advance("c") == Fraction(1)
-        assert engine2.view.max_safe_advance("d") is None
+        assert engine2.max_safe_advance(engine2.index_of("c")) == Fraction(1)
+        assert engine2.max_safe_advance(engine2.index_of("d")) is None

@@ -114,12 +114,6 @@ class TestNavigation:
         with pytest.raises(GraphError):
             ring6.port_towards(0, 3)
 
-    def test_ports_of_edge(self, ring6):
-        for key in ring6.edges():
-            port_u, port_v = ring6.ports_of_edge(key)
-            assert ring6.edge_endpoints_of_port(key[0], port_u) == key
-            assert ring6.edge_endpoints_of_port(key[1], port_v) == key
-
     def test_neighbours_in_port_order(self):
         graph = triangle()
         assert graph.neighbours(0) == [graph.succ(0, 0), graph.succ(0, 1)]
@@ -132,8 +126,8 @@ class TestStructure:
         assert 17 not in ring6
 
     def test_degrees(self, ring6, path5):
-        assert ring6.max_degree() == 2 and ring6.min_degree() == 2
-        assert path5.max_degree() == 2 and path5.min_degree() == 1
+        assert ring6.max_degree() == 2
+        assert path5.max_degree() == 2
         assert ring6.is_regular()
         assert not path5.is_regular()
 

@@ -139,7 +139,7 @@ class TestExecutors:
 
     def test_sweep_result_helpers(self):
         result = run_sweep(SweepSpec(sizes=(4, 6), label_sets=((1, 2),)))
-        assert result.all_ok and result.ok_fraction == 1.0
+        assert result.all_ok
         assert result.max_cost() >= result.mean_cost() > 0
         ring_only = result.filter(family="ring")
         assert len(ring_only) == 2

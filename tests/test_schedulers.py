@@ -20,7 +20,7 @@ from repro.sim import (
     StationaryController,
 )
 from repro.sim.actions import Move
-from repro.sim.schedulers import Advance, Scheduler, Wake, complete
+from repro.sim.schedulers import WAKE, Scheduler
 
 
 def walker(name: str, ports: Sequence[int], label: int = 1) -> FunctionController:
@@ -57,8 +57,8 @@ class TestRoundRobin:
             scheduler,
         )
         engine._bootstrap()
-        first = scheduler.decide(engine.view)
-        assert isinstance(first, Advance) and first.agent == "b"
+        first = scheduler.choose(engine)
+        assert first == engine.index_of("b")
 
     def test_skips_non_eligible_agents(self, ring6):
         result = run(
@@ -104,11 +104,11 @@ class TestLazyScheduler:
         trace = []
 
         class TrackingScheduler(LazyScheduler):
-            def choose(self, view):
-                decision = super().choose(view)
-                if isinstance(decision, Advance):
-                    trace.append(decision.agent)
-                return decision
+            def choose(self, engine):
+                choice = super().choose(engine)
+                if isinstance(choice, int):
+                    trace.append(engine.agents[choice].name)
+                return choice
 
         scheduler = TrackingScheduler("b", release_after=4)
         run(
@@ -206,8 +206,8 @@ class TestWakeSchedule:
 class TestDecisionValidation:
     def test_illegal_advance_is_rejected_by_engine(self, ring6):
         class BadScheduler(Scheduler):
-            def choose(self, view):
-                return Advance("a", Fraction(0))  # not an advance at all
+            def choose(self, engine):
+                return (0, Fraction(0))  # not an advance at all
 
         engine = AsyncEngine(
             ring6, [AgentSpec(walker("a", [0]), 0)], BadScheduler()
@@ -217,8 +217,8 @@ class TestDecisionValidation:
 
     def test_waking_active_agent_is_rejected(self, ring6):
         class BadScheduler(Scheduler):
-            def choose(self, view):
-                return Wake("a")
+            def choose(self, engine):
+                return (0, WAKE)
 
         engine = AsyncEngine(
             ring6, [AgentSpec(walker("a", [0]), 0)], BadScheduler()
@@ -228,7 +228,7 @@ class TestDecisionValidation:
 
     def test_unknown_decision_type_rejected(self, ring6):
         class BadScheduler(Scheduler):
-            def choose(self, view):
+            def choose(self, engine):
                 return object()
 
         engine = AsyncEngine(
@@ -237,7 +237,28 @@ class TestDecisionValidation:
         with pytest.raises(SchedulerError):
             engine.run()
 
-    def test_complete_helper_builds_full_advance(self):
-        decision = complete("x")
-        assert isinstance(decision, Advance)
-        assert decision.agent == "x" and decision.to == 1
+    def test_index_out_of_range_is_rejected(self, ring6):
+        class BadScheduler(Scheduler):
+            def choose(self, engine):
+                return -1  # an index, but of no agent
+
+        engine = AsyncEngine(
+            ring6, [AgentSpec(walker("a", [0]), 0)], BadScheduler()
+        )
+        with pytest.raises(SchedulerError):
+            engine.run()
+
+    def test_bare_index_is_a_complete_advance(self, ring6):
+        results = []
+        for to in (None, Fraction(1)):
+            class Completer(Scheduler):
+                def choose(self, engine, to=to):
+                    if engine.agents[0].pending is None:
+                        return None
+                    return 0 if to is None else (0, to)
+
+            results.append(
+                run(ring6, [AgentSpec(walker("a", [0, 0]), 0)], Completer())
+            )
+        assert results[0] == results[1]
+        assert results[0].total_traversals == 2

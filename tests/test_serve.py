@@ -644,6 +644,22 @@ class TestEventsEndpoint:
         (worker,) = payload["workers"]
         assert worker["worker"] == "w0" and worker["stale"] is False
 
+    def test_cancelled_cells_are_not_remaining(self, tmp_path, capsys):
+        # Four one-cell units: three run, one is cancelled and never will.
+        service = ResultService(MemoryStore(), queue=str(tmp_path / "q"))
+        doc = {"sweep": {"sizes": [4, 6], "seeds": [0, 1]}, "unit_size": 1}
+        jid = body_of(service.handle("POST", "/sweeps", body=json.dumps(doc).encode()))["job"]
+        queue = WorkQueue(tmp_path / "q")
+        unit_ids = SweepJobs(queue).load(jid)["unit_ids"]
+        assert queue.cancel_unit(unit_ids[3]) == "cancelled"
+        Worker(str(tmp_path / "q"), worker_id="w0", poll=0.01).run()
+        fleet = body_of(service.handle("GET", "/fleet"))
+        assert (fleet["queue"]["done"], fleet["queue"]["cancelled"]) == (3, 1)
+        assert fleet["remaining_cells"] == 0 and fleet["eta_seconds"] is None
+        assert queue.fleet(lease_ttl=30.0)["remaining_cells"] == 0
+        assert main(["top", "--queue", str(tmp_path / "q"), "--once"]) == 0
+        assert "remaining cells: 0" in capsys.readouterr().out
+
     def test_job_status_counts_are_the_queue_status_of_its_units(self, tmp_path):
         service = ResultService(MemoryStore(), queue=str(tmp_path / "q"))
         first = {"sweep": {"sizes": [4, 6], "seeds": [0, 1]}, "unit_size": 1}

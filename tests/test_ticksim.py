@@ -110,7 +110,6 @@ class TestFaultPlan:
         )
         assert not plan.crashes_on_activation(1, 2)
         assert plan.crashes_on_activation(1, 3)
-        assert plan.faulty_agents == (1,)
         with pytest.raises(ReproError, match="fault_rate"):
             FaultPlan.from_params({"fault_rate": 1.5}, n_agents=2, seed=0, max_ticks=10)
         with pytest.raises(ReproError, match="crash_window"):
