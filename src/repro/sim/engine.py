@@ -34,6 +34,12 @@ every adversary, on one of two paths (see docs/API.md, "Engine internals"):
   lattice (:mod:`repro.sim.lattice`) by integer cross-multiplication.
   :class:`~fractions.Fraction` objects are materialised only where they
   become externally visible (positions, park points, error messages).
+
+Once one agent is left moving alone (every other agent stopped, none dormant,
+nobody inside an edge, no rendezvous target) and the scheduler's ``solo``
+hook promises that ``choose`` would keep naming it, the loop hands that
+agent to :meth:`AsyncEngine._solo`, which moves it without a scheduler call
+per traversal until it stops or acts otherwise.
 """
 
 from __future__ import annotations
@@ -184,6 +190,31 @@ class _AgentState:
         )
         self.snap: Optional[AgentSnapshot] = None
         self.snap_version = -1
+
+
+def _snapshots(states: Iterable[_AgentState]) -> tuple:
+    """The meeting snapshots of ``states``, in order."""
+    snaps = []
+    for state in states:
+        controller = state.controller
+        if state.versioned:
+            # ``public_version`` changes on every observable public-state
+            # change, so an unchanged (version, status) pair means the
+            # previous snapshot is still an exact copy and can be shared.
+            version = controller.public_version
+            snap = state.snap
+            if snap is None or state.snap_version != version or snap.status != state.status:
+                snap = AgentSnapshot(
+                    state.name, controller.label, state.status, controller.public_snapshot()
+                )
+                state.snap = snap
+                state.snap_version = version
+        else:
+            snap = AgentSnapshot(
+                state.name, controller.label, state.status, controller.public_snapshot()
+            )
+        snaps.append(snap)
+    return tuple(snaps)
 
 
 class AsyncEngine:
@@ -426,12 +457,8 @@ class AsyncEngine:
         max_traversals = self._max_traversals
         check_output = self._stop_when_all_output
         fast_output = self._fast_has_output
-        output_states = self._output_states
         tuple_new = tuple.__new__
         observation_cls = Observation
-        snapshot_cls = AgentSnapshot
-        meeting_cls = MeetingEvent
-        meetings_append = self._meetings.append
         no_rendezvous = self._rendezvous is None
         # Decisions and index updates live in locals and are flushed to the
         # engine before any call that can observe them (and in the finally).
@@ -441,13 +468,37 @@ class AsyncEngine:
         total_traversals = self.total_traversals
         index_updates = index.updates
         lattice = 0
+        # Whether every agent has stopped, or one is left moving alone, can
+        # change only where an agent stops or wakes (or leaves an edge), so
+        # it is tested after those calls only.
+        changed = True
         if tracer is not None:
             loop_started = tracer.clock()
         try:
             while True:
-                if self._stopped == n:
-                    self._finish(StopReason.ALL_STOPPED)
-                    break
+                if changed:
+                    changed = False
+                    if self._stopped == n:
+                        self._finish(StopReason.ALL_STOPPED)
+                        break
+                    survivor = self._solo_survivor() if nodes is not None else None
+                    if survivor is not None:
+                        self._decisions = decisions
+                        index.updates = index_updates
+                        try:
+                            taken = self._solo(survivor, nodes, tracer)
+                        finally:
+                            decisions = self._decisions
+                            total_traversals = self.total_traversals
+                            index_updates = index.updates
+                        self._scheduler.settle(taken)
+                        if self._done:
+                            break
+                        changed = True
+                        if survivor.pending is None:
+                            continue  # it stopped: the run is over
+                        # A self-loop, a decision at a budget, or the first
+                        # move after a ``Move`` subclass: ``choose`` takes it.
                 if decisions >= max_decisions:
                     raise SimulationError(
                         f"scheduler exceeded the decision budget "
@@ -468,6 +519,7 @@ class AsyncEngine:
                         self._materialise(nodes)
                         nodes = self._nodes = None
                     self._apply(mover)
+                    changed = True
                     if self._done:
                         break
                     total_traversals = self.total_traversals
@@ -506,83 +558,20 @@ class AsyncEngine:
                         and self._dormant_count == 0
                         and nodes[mover] != to_node
                     ):
-                        # _emit_meeting, inlined for the dominant case: no
-                        # rendezvous target, nobody dormant, not a self-loop
-                        # (so the mover is not among the occupants and no
-                        # dedup is needed).  The event reads the decision
-                        # local directly, so no flush is required unless a
-                        # callee observes engine state.
-                        if len(meet) == 1:
-                            pstates = (state, by_name[meet[0]])
-                        else:
-                            pstates = [state]
-                            for m in meet:
-                                pstates.append(by_name[m])
-                        snaps = []
-                        for st in pstates:
-                            controller = st.controller
-                            if st.versioned:
-                                version = controller.public_version
-                                snap = st.snap
-                                if (
-                                    snap is None
-                                    or st.snap_version != version
-                                    or snap.status != st.status
-                                ):
-                                    snap = snapshot_cls(
-                                        st.name,
-                                        controller.label,
-                                        st.status,
-                                        controller.public_snapshot(),
-                                    )
-                                    st.snap = snap
-                                    st.snap_version = version
-                            else:
-                                snap = snapshot_cls(
-                                    st.name,
-                                    controller.label,
-                                    st.status,
-                                    controller.public_snapshot(),
-                                )
-                            snaps.append(snap)
-                        event = meeting_cls(
-                            participants=tuple(snaps),
-                            node=to_node,
-                            edge=None,
-                            decision_index=decisions,
-                            total_traversals=total_traversals,
-                        )
-                        meetings_append(event)
-                        if tracer is not None:
-                            tracer.event(
-                                "meeting",
-                                participants=[state.name] + meet,
-                                node=to_node,
-                                edge=None,
-                                decision=decisions,
-                                total_traversals=total_traversals,
-                            )
-                        for st in pstates:
-                            st.controller.on_meeting(event)
-                        if check_output:
-                            if fast_output:
-                                for st in output_states:
-                                    if st.controller.output is None:
-                                        break
-                                else:
-                                    self._output_cost = total_traversals
-                                    self._finish(StopReason.ALL_OUTPUT)
-                                    break
-                            else:
-                                self._decisions = decisions
-                                self._check_output_termination()
-                                if self._done:
-                                    break
+                        # The dominant case: no rendezvous target, nobody
+                        # dormant, not a self-loop (so the mover is not among
+                        # the occupants and no dedup is needed).
+                        pstates = [state]
+                        for m in meet:
+                            pstates.append(by_name[m])
+                        if self._meet(pstates, to_node, decisions, total_traversals):
+                            break
                     else:
                         self._decisions = decisions
                         self._emit_meeting(
                             [state.name] + meet, node_pos[to_node]
                         )
+                        changed = True
                         if self._done:
                             break
                 if total_traversals >= max_traversals:
@@ -609,50 +598,37 @@ class AsyncEngine:
                         )
                     except StopIteration:
                         self._stop_agent(state)
+                        changed = True
                     else:
-                        if action.__class__ is Move:
+                        if action.__class__ is Move and 0 <= action.port < degree:
                             # The committed traversal is reused for the next
                             # edge; its progress is 0 on the node array.
-                            port = action.port
-                            if 0 <= port < degree:
-                                target, entry_port = row[port]
-                                if to_node < target:
-                                    pending.edge = (to_node, target)
-                                    pending.forward = True
-                                else:
-                                    pending.edge = (target, to_node)
-                                    pending.forward = False
-                                pending.to_node = target
-                                pending.entry_port = entry_port
+                            target, pending.entry_port = row[action.port]
+                            if to_node < target:
+                                pending.edge = (to_node, target)
+                                pending.forward = True
                             else:
-                                raise ProtocolError(
-                                    f"agent {state.name!r} chose port {port} "
-                                    f"at a node of degree {degree}"
-                                )
+                                pending.edge = (target, to_node)
+                                pending.forward = False
+                            pending.to_node = target
                         else:
-                            # A Stop, a Move subclass or a protocol error:
-                            # ``_handle_action`` reads the agent's position.
+                            # A Stop, a Move subclass or a protocol error (a
+                            # bad port included): ``_handle_action`` reads the
+                            # agent's position.
                             state.position = node_pos[to_node]
                             self._handle_action(state, action)
+                            changed = True
                 else:
                     state.pending = None
-                if check_output:
-                    if fast_output:
-                        # Meetings check on their own, so since the last check
-                        # only the mover's program can have produced an output.
-                        if state.controller.output is not None:
-                            for st in output_states:
-                                if st.controller.output is None:
-                                    break
-                            else:
-                                self._output_cost = total_traversals
-                                self._finish(StopReason.ALL_OUTPUT)
-                                break
-                    else:
-                        self._decisions = decisions
-                        self._check_output_termination()
-                        if self._done:
-                            break
+                # Meetings check on their own, so since the last check only
+                # the mover's program can have produced an output.
+                if check_output and (
+                    not fast_output or state.controller.output is not None
+                ):
+                    self._decisions = decisions
+                    self._check_output_termination()
+                    if self._done:
+                        break
         finally:
             self._decisions = decisions
             if nodes is not None:
@@ -683,6 +659,148 @@ class AsyncEngine:
             else:
                 occ.add(state.name)
             where[state.name] = node
+
+    def _solo_survivor(self) -> Optional[_AgentState]:
+        """The one agent left moving, if the scheduler lets it move alone.
+
+        Every other agent must have stopped, none be dormant, and the run
+        have no rendezvous target; the caller has checked that nobody is
+        inside an edge.
+        """
+        if (
+            self._rendezvous is not None
+            or self._dormant_count
+            or self._stopped != len(self.agents) - 1
+        ):
+            return None
+        for state in self.agents:
+            if state.status != AgentStatus.STOPPED:
+                break
+        if state.pending is None or not self._scheduler.solo(self, state.index):
+            return None
+        return state
+
+    def _solo(
+        self, state: _AgentState, nodes: List[int], tracer: Optional[Tracer]
+    ) -> int:
+        """Move ``state`` alone, without a scheduler call per decision.
+
+        Every other agent has stopped, so each node's occupants are fixed and
+        a decision is ``_loop``'s node-array completion, in its order: the
+        arrival meeting and its output check, then the program step and the
+        output check.  Returns the number of decisions taken, on the first
+        of: the run ends, the agent stops or yields anything but a plain
+        ``Move``, or the next decision is a self-loop or meets a budget
+        (``_loop`` takes it).
+        """
+        decisions = first_decision = self._decisions
+        total = first_total = self.total_traversals
+        limit = decisions + min(
+            self._max_decisions - decisions, self._max_traversals - total
+        )
+        here = nodes[state.index]
+        # Node -> the participants of an arrival meeting there: the mover,
+        # then the occupants in name order.
+        occupants: Dict[int, List[_AgentState]] = {}
+        for other in self.agents:
+            if other is not state:
+                occupants.setdefault(nodes[other.index], [state]).append(other)
+        pending = state.pending
+        controller = state.controller
+        send = state.program.send
+        adj = self._adj
+        check_output = self._stop_when_all_output
+        fast_output = self._fast_has_output
+        tuple_new = tuple.__new__
+        observation_cls = Observation
+        traversals = state.traversals
+        try:
+            while decisions < limit:
+                to_node = pending.to_node
+                if to_node == here:
+                    break
+                decisions += 1
+                pstates = occupants.get(to_node)
+                if pstates is not None and self._meet(pstates, to_node, decisions, total):
+                    break
+                here = to_node
+                entry = pending.entry_port
+                state.entry_port = entry
+                traversals += 1
+                state.traversals = traversals
+                total += 1
+                self.total_traversals = total
+                row = adj[to_node]
+                degree = len(row)
+                try:
+                    action = send(tuple_new(observation_cls, (degree, entry, traversals)))
+                except StopIteration:
+                    self._stop_agent(state)
+                    action = None
+                if action.__class__ is Move and 0 <= action.port < degree:
+                    target, pending.entry_port = row[action.port]
+                    if to_node < target:
+                        pending.edge = (to_node, target)
+                        pending.forward = True
+                    else:
+                        pending.edge = (target, to_node)
+                        pending.forward = False
+                    pending.to_node = target
+                elif action is not None:  # as in ``_loop``
+                    state.position = self._node_pos[to_node]
+                    self._handle_action(state, action)
+                if check_output and (not fast_output or controller.output is not None):
+                    self._decisions = decisions
+                    self._check_output_termination()
+                    if self._done:
+                        break
+                if state.pending is not pending:
+                    break
+        finally:
+            self._decisions = decisions
+            self._index.updates += total - first_total
+            nodes[state.index] = here
+            if tracer is not None and decisions > first_decision:
+                tracer.count("engine.solo_decisions", decisions - first_decision)
+        return decisions - first_decision
+
+    def _meet(
+        self, pstates: List[_AgentState], node: int, decisions: int, total: int
+    ) -> bool:
+        """An arrival meeting on the node array, with nobody dormant and no
+        rendezvous target; ``pstates`` are the mover, then the occupants in
+        name order.  Returns whether it ended the run."""
+        event = MeetingEvent(
+            participants=_snapshots(pstates),
+            node=node,
+            edge=None,
+            decision_index=decisions,
+            total_traversals=total,
+        )
+        self._meetings.append(event)
+        if self._tracer is not None:
+            self._tracer.event(
+                "meeting",
+                participants=[st.name for st in pstates],
+                node=node,
+                edge=None,
+                decision=decisions,
+                total_traversals=total,
+            )
+        for st in pstates:
+            st.controller.on_meeting(event)
+        if self._stop_when_all_output:
+            if self._fast_has_output:
+                for st in self._output_states:
+                    if st.controller.output is None:
+                        return False
+                self._output_cost = total
+                self._finish(StopReason.ALL_OUTPUT)
+                return True
+            self._decisions = decisions
+            self._check_output_termination()
+            return self._done
+        return False
 
     # ------------------------------------------------------------------
     # bootstrapping
@@ -885,35 +1003,8 @@ class AsyncEngine:
             ]
         else:
             woken = []
-        snaps: List[AgentSnapshot] = []
-        for state in states:
-            controller = state.controller
-            if state.versioned:
-                # ``public_version`` changes on every observable public-state
-                # change, so an unchanged (version, status) pair means the
-                # previous snapshot is still an exact copy and can be shared.
-                version = controller.public_version
-                snap = state.snap
-                if snap is None or state.snap_version != version or snap.status != state.status:
-                    snap = AgentSnapshot(
-                        state.name,
-                        controller.label,
-                        state.status,
-                        controller.public_snapshot(),
-                    )
-                    state.snap = snap
-                    state.snap_version = version
-            else:
-                snap = AgentSnapshot(
-                    state.name,
-                    controller.label,
-                    state.status,
-                    controller.public_snapshot(),
-                )
-            snaps.append(snap)
-        snapshots = tuple(snaps)
         event = MeetingEvent(
-            participants=snapshots,
+            participants=_snapshots(states),
             node=position.node,
             edge=position.edge,
             decision_index=self._decisions,

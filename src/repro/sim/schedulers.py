@@ -19,6 +19,12 @@ it has a committed traversal, ``pending is not None``) and returns
   ``to is WAKE`` (the adversary chooses wake-up times);
 * ``None`` — the adversary has no further moves.
 
+Once one agent is left moving alone, a fair adversary has no choice left:
+round-robin, random and lazy opt in to :meth:`Scheduler.solo` and
+:meth:`Scheduler.settle`, which let the engine move that agent without a
+``choose`` call per decision.  The avoider, like any scheduler that does not
+override ``solo``, is asked on every decision.
+
 Schedulers provided
 -------------------
 * :class:`RoundRobinScheduler` — fair alternation of complete traversals; the
@@ -41,6 +47,7 @@ total-traversal count at which the adversary wakes them.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -88,6 +95,33 @@ class Scheduler:
         """The next move of the adversary (see the module docstring)."""
         raise NotImplementedError
 
+    def solo(self, engine, index: int) -> bool:
+        """Whether every further :meth:`choose` would complete agent ``index``.
+
+        Asked when ``engine.agents[index]`` becomes the only agent not
+        stopped, with none dormant, nobody inside an edge and no rendezvous
+        target.  ``True`` promises that ``choose`` would return ``index``
+        while this holds; the engine then skips those calls and reports them
+        to :meth:`settle`.  The base class opts out; a subclass overriding a
+        built-in ``choose`` inherits its ``solo`` and must opt out unless its
+        ``choose`` agrees.
+        """
+        return False
+
+    def settle(self, decisions: int) -> None:
+        """Leave the state where ``decisions`` further ``choose`` calls would.
+
+        Called after each run of decisions :meth:`solo` allowed (possibly
+        none).  The base class prunes the wake schedule, as the wake check
+        of the first call would: no agent is dormant.
+        """
+        if decisions:
+            self._wakes = []
+
+    def _knows_wakes(self, engine) -> bool:
+        """Whether every agent of the wake schedule exists (else ``choose`` raises)."""
+        return all(engine.index_of(name) is not None for name, _ in self._wakes)
+
     def _due_wake(self, engine) -> Optional[Tuple[int, object]]:
         """The first scheduled agent that is still dormant and due, as a wake."""
         agents = engine.agents
@@ -122,9 +156,20 @@ class RoundRobinScheduler(Scheduler):
     ) -> None:
         super().__init__(wake_schedule)
         self._order = list(order) if order is not None else None
-        #: Each call returns the next agent state of the cycle ``_order``:
-        #: the cursor of the round robin (built at the first decision).
+        #: The agent states of the cycle ``_order`` and the cursor over them:
+        #: each ``_probe()`` returns the next one (built at the first decision).
+        self._ring: List = []
         self._probe = None
+        self._survivor = None  # the agent state :meth:`solo` last named
+
+    def _start(self, engine):
+        agents = engine.agents
+        if self._order is None:
+            self._order = sorted(state.name for state in agents)
+        positions = [engine.index_of(name) for name in self._order]
+        self._ring = [_Nobody if i is None else agents[i] for i in positions] or [_Nobody]
+        self._probe = itertools.cycle(self._ring).__next__
+        return self._probe
 
     def choose(self, engine) -> Choice:
         if self._wakes:
@@ -133,13 +178,7 @@ class RoundRobinScheduler(Scheduler):
                 return wake
         probe = self._probe
         if probe is None:
-            agents = engine.agents
-            if self._order is None:
-                self._order = sorted(state.name for state in agents)
-            positions = [engine.index_of(name) for name in self._order]
-            probe = self._probe = itertools.cycle(
-                [_Nobody if i is None else agents[i] for i in positions] or [_Nobody]
-            ).__next__
+            probe = self._start(engine)
         # First probe outside the scan: the next agent is almost always ready.
         state = probe()
         if state.pending is not None:
@@ -153,6 +192,25 @@ class RoundRobinScheduler(Scheduler):
         # cycle.  The cursor has moved once round the cycle, as the probes did.
         eligible = _eligible(engine.agents)
         return eligible[0] if eligible else None
+
+    def solo(self, engine, index: int) -> bool:
+        # Alone, each choose probes up to the agent's next place in the cycle
+        # (or, outside it, once round the cycle) and returns it.
+        if self._probe is None:
+            self._start(engine)
+        self._survivor = engine.agents[index]
+        return self._knows_wakes(engine)
+
+    def settle(self, decisions: int) -> None:
+        super().settle(decisions)
+        state = self._survivor
+        places = self._ring.count(state)
+        if decisions and places:
+            # The cursor is back where it was every ``places`` decisions.
+            probe = self._probe
+            for _ in range((decisions - 1) % places + 1):
+                while probe() is not state:
+                    pass
 
 
 class RandomScheduler(Scheduler):
@@ -192,6 +250,18 @@ class RandomScheduler(Scheduler):
         # one ``random()`` indexes the eligible list directly.
         return eligible[int(self._rng.random() * len(eligible))]
 
+    def solo(self, engine, index: int) -> bool:
+        # Alone, each choose draws one ``random()``, weighted or not, unless
+        # an infinite weight makes ``rng.choices`` raise.
+        weight = self._weights.get(engine.agents[index].name, 1.0)
+        return self._knows_wakes(engine) and math.isfinite(weight)
+
+    def settle(self, decisions: int) -> None:
+        super().settle(decisions)
+        draw = self._rng.random
+        for _ in range(decisions):
+            draw()
+
 
 class LazyScheduler(Scheduler):
     """Starve one agent while the others run.
@@ -217,6 +287,9 @@ class LazyScheduler(Scheduler):
         self._release_after = release_after
         self._released = False
         self._cursor = 0
+        #: The ``choose`` call after :meth:`solo` (counting from 1) that
+        #: releases the starved agent, or ``None``.
+        self._release_in: Optional[int] = None
 
     @property
     def released(self) -> bool:
@@ -249,6 +322,29 @@ class LazyScheduler(Scheduler):
         index = eligible[self._cursor % len(eligible)]
         self._cursor += 1
         return index
+
+    def solo(self, engine, index: int) -> bool:
+        # Alone, each choose returns ``index`` and moves the cursor on; the
+        # release happens at once if ``index`` is the starved agent, else
+        # once the others' traversals, one more per decision, reach the
+        # threshold.
+        self._release_in = None
+        if not self._released:
+            starved = engine.index_of(self._starved)
+            if starved == index:
+                self._release_in = 1
+            elif self._release_after is not None:
+                others_cost = engine.total_traversals - (
+                    0 if starved is None else engine.agents[starved].traversals
+                )
+                self._release_in = max(1, self._release_after - others_cost + 1)
+        return self._knows_wakes(engine)
+
+    def settle(self, decisions: int) -> None:
+        super().settle(decisions)
+        if self._release_in is not None and decisions >= self._release_in:
+            self._released = True
+        self._cursor += decisions
 
 
 class GreedyAvoidingScheduler(Scheduler):
@@ -293,7 +389,8 @@ class GreedyAvoidingScheduler(Scheduler):
         if not passed:
             passed.extend([0] * len(engine.agents))
         safe_advance = engine.max_safe_advance
-        safe = [i for i in eligible if safe_advance(i) == 1]
+        advance = {i: safe_advance(i) for i in eligible}
+        safe = [i for i in eligible if advance[i] == 1]
         # An agent whose patience is exhausted must complete now, meetings or
         # not; otherwise relieve the most-starved agent whose completion is
         # harmless; if nobody can complete without a meeting, park the
@@ -306,7 +403,7 @@ class GreedyAvoidingScheduler(Scheduler):
         if exhausted or safe:
             passed[chosen] = 0
             return chosen
-        return (chosen, safe_advance(chosen))
+        return (chosen, advance[chosen])
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,12 @@ decision (``DELETED_SPANS``); the comparison leaves those span counts out.
 fixture, ``engine_generic_records.json``: the records of the generic loop for
 seeded cross-check specs under every adversary (:func:`cross_check_specs`)
 and for hand-built engine runs no spec expresses (:func:`direct_cases`).
+
+``python -m tests.golden.gen_engine_records --solo`` writes the third,
+``engine_solo_records.json``: teams runs that end with one agent moving
+alone, and the state each leaves its scheduler in (:func:`solo_cases`).  It
+was written by the engine that still asked the scheduler for every one of
+those moves.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from repro.runtime.spec import ScenarioSpec
 
 FIXTURE_PATH = Path(__file__).resolve().parent / "engine_records.json"
 GENERIC_FIXTURE_PATH = Path(__file__).resolve().parent / "engine_generic_records.json"
+SOLO_FIXTURE_PATH = Path(__file__).resolve().parent / "engine_solo_records.json"
 
 #: Trace counters that must not change across the refactor: what the engine
 #: *did* (decisions, traversals, meetings, sweeps), as opposed to what the
@@ -326,16 +333,23 @@ def _plain(value: Any) -> Any:
 
 def result_payload(result: Any) -> Dict[str, Any]:
     """A ``RunResult`` as plain JSON; the meetings as count plus digest."""
+    # The engine shares one snapshot between meetings while an agent's public
+    # state is unchanged, so each distinct snapshot is converted once.
+    rows: Dict[int, List[Any]] = {}
+
+    def row(snap: Any) -> List[Any]:
+        plain = rows.get(id(snap))
+        if plain is None:
+            plain = rows[id(snap)] = [snap.name, snap.label, snap.status, _plain(snap.public)]
+        return plain
+
     meetings = [
         [
             event.decision_index,
             event.total_traversals,
             event.node,
             _plain(event.edge),
-            [
-                [snap.name, snap.label, snap.status, _plain(snap.public)]
-                for snap in event.participants
-            ],
+            [row(snap) for snap in event.participants],
         ]
         for event in result.meetings
     ]
@@ -449,6 +463,94 @@ def direct_cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
     return cases
 
 
+def _solo_teams_run(scheduler: Any, max_traversals: int) -> Any:
+    from repro.exploration.cost_model import SimulationCostModel
+    from repro.graphs import families
+    from repro.teams.problems import TeamMember, run_sgl
+
+    members = [
+        TeamMember(label=label, start_node=node)
+        for node, label in enumerate((3, 5, 7))
+    ]
+    return run_sgl(
+        families.ring(3), members, scheduler=scheduler,
+        model=SimulationCostModel(), max_traversals=max_traversals,
+        on_cost_limit="return",
+    ).result
+
+
+def solo_cases() -> Dict[str, Callable[[], Dict[str, Any]]]:
+    """Teams runs that end with one agent moving alone, and the scheduler
+    state each leaves behind.
+
+    Two members of an SGL team on a ring of 3 stop within a few traversals
+    and the third explores alone for tens of thousands.  Each payload adds
+    to the result what the scheduler holds after the run: the round-robin
+    cycle's next names (a default cycle, and one with a repeated and an
+    unknown name), the random generator's state (uniform, weighted, and a
+    run that ends at its traversal budget), and the lazy cursor and release
+    flag (a release threshold crossed while one agent moves alone, the
+    delay-until-stop adversary starving nobody, and starving the agent left
+    moving alone).
+    """
+    from repro.sim.schedulers import LazyScheduler, RandomScheduler, RoundRobinScheduler
+
+    def next_names(scheduler):
+        return {"next_names": [
+            getattr(scheduler._probe(), "name", None) for _ in scheduler._order
+        ]}
+
+    def rng_state(scheduler):
+        return {"rng_state": _plain(scheduler._rng.getstate())}
+
+    def lazy_state(scheduler):
+        return {"cursor": scheduler._cursor, "released": scheduler.released}
+
+    def case(make, state, max_traversals=40_000):
+        def run_case():
+            scheduler = make()
+            payload = result_payload(_solo_teams_run(scheduler, max_traversals))
+            payload.update(state(scheduler))
+            return payload
+        return run_case
+
+    return {
+        "solo-round_robin": case(RoundRobinScheduler, next_names),
+        "solo-round_robin-order": case(
+            lambda: RoundRobinScheduler(order=["sgl-7", "sgl-3", "x", "sgl-3", "sgl-5"]),
+            next_names,
+        ),
+        "solo-random-uniform": case(lambda: RandomScheduler(seed=1), rng_state),
+        "solo-random-weighted": case(
+            lambda: RandomScheduler(seed=0, weights={"sgl-3": 2.5, "sgl-7": 0.5}),
+            rng_state,
+        ),
+        "solo-random-budget": case(
+            lambda: RandomScheduler(seed=2), rng_state, max_traversals=30_000
+        ),
+        "solo-lazy": case(
+            lambda: LazyScheduler("agent-2", release_after=5_000), lazy_state
+        ),
+        "solo-delay_until_stop": case(lambda: LazyScheduler("agent-2"), lazy_state),
+        "solo-delay_until_stop-starved": case(lambda: LazyScheduler("sgl-5"), lazy_state),
+    }
+
+
+def build_solo_fixture() -> Dict[str, Any]:
+    """The solo cases' payloads."""
+    return {
+        "_meta": {
+            "generator": "tests/golden/gen_engine_records.py --solo",
+            "note": (
+                "Generated by the engine that called the scheduler on every "
+                "decision; regenerate only with an engine whose records are "
+                "proven byte-identical."
+            ),
+        },
+        "direct": {name: run_case() for name, run_case in solo_cases().items()},
+    }
+
+
 def build_generic_fixture() -> Dict[str, Any]:
     """The cross-check specs' records and the direct cases' payloads."""
     from repro.runtime.runner import run
@@ -477,6 +579,11 @@ def _write(path: Path, fixture: Dict[str, Any]) -> None:
 
 
 def main(argv: List[str]) -> None:
+    if "--solo" in argv:
+        fixture = build_solo_fixture()
+        _write(SOLO_FIXTURE_PATH, fixture)
+        print(f"wrote {len(fixture['direct'])} solo cases -> {SOLO_FIXTURE_PATH}")
+        return
     if "--generic" in argv:
         fixture = build_generic_fixture()
         _write(GENERIC_FIXTURE_PATH, fixture)

@@ -380,6 +380,17 @@ class TestValidationAndErrors:
         with pytest.raises(ProtocolError):
             engine.run()
 
+    @pytest.mark.parametrize("company", [False, True], ids=["alone", "with-company"])
+    def test_invalid_port_after_a_move_raises_protocol_error(self, ring6, company):
+        # Alone, the agent moves without a scheduler call per decision; with
+        # a second agent still walking, every decision asks the scheduler.
+        agents = [AgentSpec(scripted("bad", [0, 7]), 0)]
+        if company:
+            agents.append(AgentSpec(scripted("other", [0] * 4), 3))
+        engine = AsyncEngine(ring6, agents, RoundRobinScheduler())
+        with pytest.raises(ProtocolError, match="'bad' chose port 7 at a node of degree 2"):
+            engine.run()
+
     def test_invalid_action_raises_protocol_error(self, ring6):
         def factory(obs):
             def program(obs):

@@ -21,6 +21,12 @@ no spec expresses: weighted random adversaries, wake schedules, and the
 scheduler state (generator, lazy cursor and release) each run leaves behind.
 The one loop reproduces all of it, so equivalence does not silently narrow to
 the golden sample.
+
+``tests/golden/engine_solo_records.json`` holds teams runs that end with one
+agent moving alone, recorded while the engine still asked the scheduler for
+every such move, and the state each left its scheduler in: the engine now
+moves that agent without asking, and the scheduler's ``settle`` must land
+exactly there.
 """
 
 from __future__ import annotations
@@ -36,11 +42,13 @@ from repro.runtime.runner import run
 from tests.golden.gen_engine_records import (
     FIXTURE_PATH,
     GENERIC_FIXTURE_PATH,
+    SOLO_FIXTURE_PATH,
     canonical,
     cross_check_specs,
     direct_cases,
     pinned_projection,
     scenarios,
+    solo_cases,
     split_traced,
 )
 
@@ -49,6 +57,8 @@ FIXTURES = json.loads(FIXTURE_PATH.read_text(encoding="utf-8"))["scenarios"]
 GENERIC = json.loads(GENERIC_FIXTURE_PATH.read_text(encoding="utf-8"))
 CROSS_CHECK_SPECS = dict(cross_check_specs())
 DIRECT_CASES = direct_cases()
+SOLO = json.loads(SOLO_FIXTURE_PATH.read_text(encoding="utf-8"))["direct"]
+SOLO_CASES = solo_cases()
 
 #: Pool subset: one scenario per problem kind (the pool run re-executes each
 #: spec in a fresh worker process, so covering every kind once is enough).
@@ -183,3 +193,14 @@ class TestDirectEngine:
     def test_lazy_cursor_and_release_match_after_both_loops(self, release_after):
         payload = _direct(f"lazy-state-{release_after}")
         assert payload["released"] is (release_after == "lazy")
+
+
+def test_solo_fixture_covers_every_case():
+    assert sorted(SOLO) == sorted(SOLO_CASES)
+
+
+@pytest.mark.parametrize("name", sorted(SOLO_CASES))
+def test_solo_phase_leaves_the_scheduler_where_choose_would(name):
+    payload = SOLO_CASES[name]()
+    assert payload["meetings"], "the comparison should cover meetings"
+    assert canonical(payload) == canonical(SOLO[name])

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import pytest
 
-from repro.exceptions import SchedulerError
+from repro.exceptions import SchedulerError, SimulationError
 from repro.graphs import families
 from repro.sim import (
     AgentSpec,
@@ -262,3 +262,111 @@ class TestDecisionValidation:
             )
         assert results[0] == results[1]
         assert results[0].total_traversals == 2
+
+
+class CountingRoundRobin(RoundRobinScheduler):
+    """Round-robin that counts its ``choose`` calls and records the solo hooks."""
+
+    def __init__(self):
+        super().__init__()
+        self.chosen = 0
+        self.asked = []
+        self.settled = []
+
+    def choose(self, engine):
+        self.chosen += 1
+        return super().choose(engine)
+
+    def solo(self, engine, index):
+        answer = super().solo(engine, index)
+        self.asked.append((index, answer))
+        return answer
+
+    def settle(self, decisions):
+        self.settled.append(decisions)
+        super().settle(decisions)
+
+
+def sgl_team(scheduler):
+    from repro.exploration.cost_model import SimulationCostModel
+    from repro.teams.problems import TeamMember, run_sgl
+
+    members = [TeamMember(label=label, start_node=node) for node, label in enumerate((3, 5, 7))]
+    return run_sgl(
+        families.ring(3), members, scheduler=scheduler, model=SimulationCostModel()
+    ).result
+
+
+class Delegating(Scheduler):
+    """Round-robin through a scheduler that does not override ``solo``."""
+
+    def __init__(self):
+        super().__init__()
+        self.inner = RoundRobinScheduler()
+        self.chosen = 0
+
+    def choose(self, engine):
+        self.chosen += 1
+        return self.inner.choose(engine)
+
+
+class TestMovingAlone:
+    """The ``solo``/``settle`` hooks: who opts in, and when the engine asks."""
+
+    def test_scheduler_without_solo_is_asked_every_decision(self):
+        scheduler = Delegating()
+        result = sgl_team(scheduler)
+        assert scheduler.chosen == result.decisions
+        # The same run with the agent left alone moved without ``choose``.
+        assert sgl_team(RoundRobinScheduler()) == result
+
+    def test_round_robin_settles_every_decision_it_was_not_asked(self):
+        from repro.obs.trace import Tracer, use_tracer
+
+        scheduler = CountingRoundRobin()
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = sgl_team(scheduler)
+        skipped = result.decisions - scheduler.chosen
+        assert skipped > result.decisions // 2
+        assert sum(scheduler.settled) == skipped
+        assert len(scheduler.settled) == sum(answer for _, answer in scheduler.asked)
+        assert tracer.finish().counters["engine.solo_decisions"] == skipped
+
+    def test_avoider_opts_out(self):
+        scheduler = GreedyAvoidingScheduler()
+        engine = AsyncEngine(families.ring(6), [AgentSpec(walker("a", [0, 0]), 0)], scheduler)
+        assert not scheduler.solo(engine, 0)
+
+    @pytest.mark.parametrize("guard", ["none", "dormant", "rendezvous"])
+    def test_dormant_member_or_rendezvous_target_keeps_choose(self, guard):
+        # "a" walks on while "b" has stopped at once (or sleeps) out of its
+        # way: alone, unless "b" is dormant or the run waits for a meeting.
+        scheduler = CountingRoundRobin()
+        result = run(
+            families.path(8),
+            [
+                AgentSpec(walker("a", [0] * 6), 0),
+                AgentSpec(walker("b", []), 7, dormant=guard == "dormant"),
+            ],
+            scheduler,
+            rendezvous=("a", "b") if guard == "rendezvous" else None,
+        )
+        assert result.traversals_by_agent["a"] == 6
+        if guard == "none":
+            assert scheduler.asked == [(0, True)]
+            assert scheduler.settled == [result.decisions - scheduler.chosen]
+        else:
+            assert scheduler.asked == [] and scheduler.settled == []
+            assert scheduler.chosen == result.decisions
+
+    @pytest.mark.parametrize("make", [RoundRobinScheduler, Delegating], ids=["solo", "asked"])
+    def test_decision_budget_stops_a_lone_agent_at_the_same_decision(self, make):
+        engine = AsyncEngine(
+            families.ring(6), [AgentSpec(walker("a", [0] * 20), 0)], make(),
+            max_decisions=5,
+        )
+        with pytest.raises(SimulationError, match="decision budget"):
+            engine.run()
+        assert engine.total_traversals == 5
+        assert engine.agents[0].traversals == 5
