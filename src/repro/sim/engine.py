@@ -21,19 +21,17 @@ The adversary is one :class:`~repro.sim.schedulers.Scheduler` method,
 ``choose(engine)``, called once per decision: it reads the flat agent state
 (:attr:`AsyncEngine.agents`) and names a mover plus a target (the end of its
 edge, or a park point strictly inside it), a wake, or nothing.  One loop runs
-every adversary, on one of two paths (see docs/API.md, "Engine internals"):
+every adversary (see docs/API.md, "Engine internals"):
 
-* while no agent is strictly inside an edge, agents live in a flat node
-  array and a complete traversal's only possible coincidence is an arrival
-  meeting, found by a scan of that array;
-* while some agent is parked, decisions take the lattice path: a
-  :class:`~repro.sim.neighbor_index.NeighborIndex` maps nodes and edges to
-  their occupants, so sweeps and safe-advance queries consult only agents on
-  (or at an endpoint of) the edge being traversed, and traversal progress is
-  an integer numerator/denominator pair compared against the per-edge
-  lattice (:mod:`repro.sim.lattice`) by integer cross-multiplication.
-  :class:`~fractions.Fraction` objects are materialised only where they
-  become externally visible (positions, park points, error messages).
+* where the agents are is one node array: entry ``j`` is the node agent
+  ``j`` stands at, or ``None`` while it is parked strictly inside an edge, at
+  its committed traversal's progress ``p_num / p_den`` (measured in its own
+  direction);
+* every completion runs one code path.  While some agent is parked it first
+  sweeps the parked agents on its edge, nearest first, by integer
+  cross-multiplication; the arrival meeting is then a scan of the node
+  array.  :class:`~fractions.Fraction` objects are built only for a hit, a
+  safe-advance answer or a position that is read.
 
 Once one agent is left moving alone (every other agent stopped, none dormant,
 nobody inside an edge, no rendezvous target) and the scheduler's ``solo``
@@ -58,7 +56,6 @@ from ..graphs.port_graph import PortLabeledGraph
 from ..obs.trace import Tracer, current_tracer
 from .actions import AgentSnapshot, MeetingEvent, Move, Observation, Stop
 from .agent import AgentController
-from .neighbor_index import NeighborIndex
 from .position import ONE as _ONE
 from .position import ZERO as _ZERO
 from .position import Position
@@ -111,10 +108,11 @@ class AgentSpec:
 class _PendingTraversal:
     """An edge traversal an agent has committed to but not yet completed.
 
-    Progress lives as the integer pair ``p_num / p_den`` (always the reduced
-    form of the last advance's target); the :attr:`progress` property
-    materialises the :class:`Fraction` on demand for park points and error
-    messages.
+    Progress lives as the integer pair ``p_num / p_den``, measured from the
+    node the agent left: ``0 / 1`` while it stands there, else the reduced
+    form of the park point it was last advanced to.  A parked agent's point
+    is this pair; the :attr:`progress` property materialises the
+    :class:`Fraction` on demand for park points and error messages.
     """
 
     __slots__ = (
@@ -150,9 +148,9 @@ class _AgentState:
     """Engine bookkeeping for one agent; schedulers read it, never write it.
 
     A scheduler reads ``index`` (the position in ``AsyncEngine.agents``),
-    ``name``, ``status``, ``traversals`` and ``pending`` (the committed
+    ``name``, ``status``, ``traversals``, ``pending`` (the committed
     traversal, or ``None``: only an active agent commits one, so ``pending
-    is not None`` is what makes an agent eligible to move).
+    is not None`` is what makes an agent eligible to move) and ``position``.
     """
 
     __slots__ = (
@@ -160,7 +158,7 @@ class _AgentState:
         "name",
         "controller",
         "status",
-        "position",
+        "_nodes",
         "program",
         "pending",
         "entry_port",
@@ -171,13 +169,13 @@ class _AgentState:
         "index",
     )
 
-    def __init__(self, spec: AgentSpec, status: str, position: Position) -> None:
+    def __init__(self, spec: AgentSpec, status: str, nodes: List[Optional[int]]) -> None:
         self.index = -1  # position in ``AsyncEngine.agents``
         self.spec = spec
         self.name = spec.name
         self.controller = spec.controller
         self.status = status
-        self.position = position
+        self._nodes = nodes  # the engine's node array, read by ``position``
         self.program: Optional[Any] = None
         self.pending: Optional[_PendingTraversal] = None
         self.entry_port: Optional[int] = None
@@ -190,6 +188,16 @@ class _AgentState:
         )
         self.snap: Optional[AgentSnapshot] = None
         self.snap_version = -1
+
+    @property
+    def position(self) -> Position:
+        """The agent's point: its node, or its park point inside an edge."""
+        node = self._nodes[self.index]
+        if node is not None:
+            return Position.at_node(node)
+        pending = self.pending
+        p_num = pending.p_num if pending.forward else pending.p_den - pending.p_num
+        return Position.interior(pending.edge, Fraction(p_num, pending.p_den))
 
 
 def _snapshots(states: Iterable[_AgentState]) -> tuple:
@@ -276,13 +284,11 @@ class AsyncEngine:
         )
         self._on_cost_limit = on_cost_limit
 
-        # Node positions are interned once: every arrival at a node and every
-        # arrival meeting reuses the same Position object.
-        self._node_pos: Dict[int, Position] = {
-            node: Position.at_node(node) for node in self._adj
-        }
-        self._index = NeighborIndex()
-
+        #: Where each agent is, aligned with ``agents``: its node, or None
+        #: while it is parked strictly inside an edge (its point is then its
+        #: committed traversal's progress).  ``_parked`` counts the Nones.
+        self._nodes: List[Optional[int]] = []
+        self._parked = 0
         self._agents: Dict[str, _AgentState] = {}
         for spec in agents:
             if spec.name in self._agents:
@@ -295,20 +301,16 @@ class AsyncEngine:
             self._agents[spec.name] = _AgentState(
                 spec=spec,
                 status=AgentStatus.DORMANT if spec.dormant else AgentStatus.ACTIVE,
-                position=self._node_pos[spec.start_node],
+                nodes=self._nodes,
             )
-            self._index.set_node(spec.name, spec.start_node)
         #: The flat agent state schedulers read, sorted by name.
         self.agents: List[_AgentState] = [
             self._agents[name] for name in sorted(self._agents)
         ]
         for i, state in enumerate(self.agents):
             state.index = i
+            self._nodes.append(state.spec.start_node)
         self._positions = {state.name: i for i, state in enumerate(self.agents)}
-        #: Each agent's node, aligned with ``agents``, while nobody is strictly
-        #: inside an edge (the index's node buckets are then left stale); None
-        #: while some agent is parked and the index is the source of truth.
-        self._nodes: Optional[List[int]] = None
         if self._rendezvous is not None:
             unknown = self._rendezvous - set(self._agents)
             if unknown:
@@ -345,11 +347,6 @@ class AsyncEngine:
         """The graph being simulated."""
         return self._graph
 
-    @property
-    def neighbor_index(self) -> NeighborIndex:
-        """The occupancy index (read-only for tooling and tests)."""
-        return self._index
-
     def index_of(self, name: str) -> Optional[int]:
         """The position of agent ``name`` in :attr:`agents`, or ``None``."""
         return self._positions.get(name)
@@ -362,44 +359,31 @@ class AsyncEngine:
         nearest obstacle otherwise, and ``None`` if the agent has no
         committed traversal.
         """
-        pending = self.agents[i].pending
+        state = self.agents[i]
+        pending = state.pending
         if pending is None:
             return None
-        nodes = self._nodes
-        nearest_d: Optional[int] = None
-        if nodes is not None:
-            # Nobody is inside an edge: the only obstacle waits at the end.
-            waiting = scanned = nodes.count(pending.to_node)
-        else:
-            frame = self._index.frames.get(pending.edge)
+        waiting = scanned = self._nodes.count(pending.to_node)
+        nearest = None
+        if self._parked:
             p_num = pending.p_num
             p_den = pending.p_den
-            scanned = 0
-            if frame is not None:
-                den = frame.den
-                forward = pending.forward
-                lo = p_num * den  # occupant d is an obstacle iff d * p_den > lo
-                mover_name = self.agents[i].name
-                for oname, num in frame.occupants.items():
-                    if oname == mover_name:
-                        continue
-                    scanned += 1
-                    d = num if forward else den - num
-                    if d * p_den > lo and (nearest_d is None or d < nearest_d):
-                        nearest_d = d
-            waiting = len(self._index.node_occupants.get(pending.to_node, ()))
-            scanned += waiting
+            for num, den, _ in self._parked_on(state, pending):
+                scanned += 1
+                # ``num / den`` is an obstacle iff it lies beyond the progress.
+                if num * p_den > p_num * den and (
+                    nearest is None or num * nearest[1] < nearest[0] * den
+                ):
+                    nearest = (num, den)
         if self._tracer is not None:
             self._tracer.count("engine.msa_calls")
             self._tracer.count("engine.msa_agents_scanned", scanned)
-            self._tracer.count("engine.fraction_ops", scanned)
-        if nearest_d is not None:
-            # Interior obstacles are strictly below 1, so the nearest interior
-            # occupant wins over any agent waiting at the destination node.
-            return (pending.progress + frame.fraction(nearest_d)) / 2
+        if nearest is not None:
+            # Parked obstacles are strictly below 1, so the nearest one wins
+            # over any agent waiting at the destination node.
+            return (pending.progress + Fraction(*nearest)) / 2
         if waiting:
-            # Halfway to the destination; on the node array progress is 0.
-            return _HALF if nodes is not None else (pending.progress + 1) / 2
+            return (pending.progress + 1) / 2 if pending.p_num else _HALF
         return _ONE
 
     def run(self) -> RunResult:
@@ -423,21 +407,17 @@ class AsyncEngine:
             tracer.count("engine.decisions", self._decisions)
             tracer.count("engine.traversals", self.total_traversals)
             tracer.count("engine.meetings", len(self._meetings))
-            tracer.count("engine.index_updates", self._index.updates)
-            tracer.count("engine.lattice_rescales", self._index.rescales())
 
     def _loop(self, tracer: Optional[Tracer]) -> RunResult:
         # The decision loop of every adversary.  Each decision asks the
-        # scheduler for a move.  A bare agent index (a complete traversal)
-        # taken while nobody is inside an edge runs inline below: the lattice
-        # frames are empty, the only possible coincidence is an arrival
-        # meeting, and occupancy lives in the node array ``nodes``.  Any
-        # other move (a park, a wake, or any move while some agent is
-        # parked) goes through ``_apply`` on the neighbor index, which is
-        # re-synced from ``nodes`` on the way in; the node array comes back
-        # as soon as no agent is parked.  Traced, the loop takes a timestamp
-        # only on entry and exit (``engine.fused_loop``) and emits the
-        # meeting events ``_emit_meeting`` would.
+        # scheduler for a move.  A pair goes through ``_apply``, which parks
+        # or wakes its agent, or hands back the index of an ``(i, 1)``
+        # completion.  Every completion, bare index or pair, runs inline
+        # below: while some agent is parked, ``_sweep`` first meets the
+        # parked agents on the mover's edge; the arrival meeting is a scan
+        # of the node array.  Traced, the loop takes a timestamp only on
+        # entry and exit (``engine.fused_loop``) and emits the meeting
+        # events ``_emit_meeting`` would.
         if self._done:  # the bootstrap meetings reached the goal
             return self._build_result()
         choose = self._scheduler.choose
@@ -446,12 +426,7 @@ class AsyncEngine:
         n = len(agents)
         active = AgentStatus.ACTIVE
         adj = self._adj
-        node_pos = self._node_pos
-        index = self._index
-        # ``nodes[j]`` mirrors exactly what the index's node buckets would
-        # say: an agent occupies its node from placement until its own next
-        # traversal completes, whatever its status.
-        nodes = self._nodes = [st.position.node for st in agents]
+        nodes = self._nodes
         agent_names = [st.name for st in agents]
         max_decisions = self._max_decisions
         max_traversals = self._max_traversals
@@ -460,17 +435,17 @@ class AsyncEngine:
         tuple_new = tuple.__new__
         observation_cls = Observation
         no_rendezvous = self._rendezvous is None
-        # Decisions and index updates live in locals and are flushed to the
-        # engine before any call that can observe them (and in the finally).
-        # Every decision not counted in ``lattice`` completed a traversal
-        # inline.  Every path that ends the run breaks out of the loop.
+        # Decisions live in a local and are flushed to the engine before any
+        # call that can observe them (and in the finally).  Every decision
+        # not counted in ``others`` (parks, wakes, the final ``None``)
+        # completed a traversal.  Every path that ends the run breaks out
+        # of the loop.
         decisions = first_decision = self._decisions
         total_traversals = self.total_traversals
-        index_updates = index.updates
-        lattice = 0
+        others = 0
         # Whether every agent has stopped, or one is left moving alone, can
-        # change only where an agent stops or wakes (or leaves an edge), so
-        # it is tested after those calls only.
+        # change only where an agent stops, wakes or parks (or leaves its
+        # park point), so it is tested after those calls only.
         changed = True
         if tracer is not None:
             loop_started = tracer.clock()
@@ -481,24 +456,22 @@ class AsyncEngine:
                     if self._stopped == n:
                         self._finish(StopReason.ALL_STOPPED)
                         break
-                    survivor = self._solo_survivor() if nodes is not None else None
+                    survivor = None if self._parked else self._solo_survivor()
                     if survivor is not None:
                         self._decisions = decisions
-                        index.updates = index_updates
                         try:
-                            taken = self._solo(survivor, nodes, tracer)
+                            taken = self._solo(survivor, tracer)
                         finally:
                             decisions = self._decisions
                             total_traversals = self.total_traversals
-                            index_updates = index.updates
                         self._scheduler.settle(taken)
                         if self._done:
                             break
                         changed = True
                         if survivor.pending is None:
                             continue  # it stopped: the run is over
-                        # A self-loop, a decision at a budget, or the first
-                        # move after a ``Move`` subclass: ``choose`` takes it.
+                        # A decision at a budget, or the first move after a
+                        # ``Move`` subclass: ``choose`` takes it.
                 if decisions >= max_decisions:
                     raise SimulationError(
                         f"scheduler exceeded the decision budget "
@@ -507,38 +480,36 @@ class AsyncEngine:
                     )
                 mover = choose(self)
                 decisions += 1
-                if mover.__class__ is not int or nodes is None or not 0 <= mover < n:
+                if mover.__class__ is not int:
                     self._decisions = decisions
-                    lattice += 1
                     if mover is None:
+                        others += 1
                         self._finish(StopReason.SCHEDULER_EXHAUSTED)
                         break
-                    # -- the lattice path ------------------------------------
-                    if nodes is not None:
-                        index.updates = index_updates
-                        self._materialise(nodes)
-                        nodes = self._nodes = None
-                    self._apply(mover)
-                    changed = True
-                    if self._done:
-                        break
-                    total_traversals = self.total_traversals
-                    if not index.frames:
-                        index_updates = index.updates
-                        nodes = self._nodes = [st.position.node for st in agents]
-                    continue
-                # -- a complete traversal on the node array ------------------
+                    mover = self._apply(mover)
+                    if mover is None:  # a park or a wake
+                        others += 1
+                        changed = True
+                        if self._done:
+                            break
+                        continue
+                elif not 0 <= mover < n:
+                    self._decisions = decisions
+                    raise self._cannot_advance(mover)
+                # -- a completion ------------------------------------------
                 state = agents[mover]
                 pending = state.pending
                 if pending is None:
                     self._decisions = decisions
                     raise self._cannot_advance(mover)
                 to_node = pending.to_node
-                # The sweep of a complete advance with an empty frame: only
-                # the arrival meeting is possible.  Scanning every agent
-                # reproduces the bucket contents exactly — including the
-                # mover itself on a self-loop arrival (it still occupies the
-                # destination node).
+                if self._parked:
+                    self._decisions = decisions
+                    changed = True  # the solo phase may open once nobody is parked
+                    self._sweep(state, pending, 1, 1)
+                    if self._done:
+                        break
+                # The arrival meeting: the agents standing at the destination.
                 # ``in``/``index``/``count`` scan the node array in C; the
                 # common no-meeting decision pays a single containment check.
                 if to_node in nodes:
@@ -548,19 +519,11 @@ class AsyncEngine:
                         for j in range(j + 1, n):
                             if nodes[j] == to_node:
                                 meet.append(agent_names[j])
-                else:
-                    meet = None
-                if meet is not None:
                     if len(meet) > 1:
                         meet.sort()
-                    if (
-                        no_rendezvous
-                        and self._dormant_count == 0
-                        and nodes[mover] != to_node
-                    ):
+                    if no_rendezvous and self._dormant_count == 0:
                         # The dominant case: no rendezvous target, nobody
-                        # dormant, not a self-loop (so the mover is not among
-                        # the occupants and no dedup is needed).
+                        # dormant.
                         pstates = [state]
                         for m in meet:
                             pstates.append(by_name[m])
@@ -568,19 +531,24 @@ class AsyncEngine:
                             break
                     else:
                         self._decisions = decisions
-                        self._emit_meeting(
-                            [state.name] + meet, node_pos[to_node]
-                        )
+                        self._emit_meeting([state.name] + meet, to_node, None)
                         changed = True
                         if self._done:
                             break
                 if total_traversals >= max_traversals:
+                    # Completing would push the total past the budget, so the
+                    # run ends now, a parked mover where it is: a result never
+                    # reports ``total_traversals > max_traversals``.  Parks and
+                    # wakes cost nothing and stay possible at the budget.
                     self._decisions = decisions
                     self._handle_cost_limit()
                     break
                 # -- complete the traversal ----------------------------------
+                if nodes[mover] is None:  # it leaves its park point
+                    self._parked -= 1
+                    pending.p_num = 0
+                    pending.p_den = 1
                 nodes[mover] = to_node
-                index_updates += 1
                 entry = pending.entry_port
                 state.entry_port = entry
                 tr = state.traversals + 1
@@ -602,7 +570,7 @@ class AsyncEngine:
                     else:
                         if action.__class__ is Move and 0 <= action.port < degree:
                             # The committed traversal is reused for the next
-                            # edge; its progress is 0 on the node array.
+                            # edge, from progress 0.
                             target, pending.entry_port = row[action.port]
                             if to_node < target:
                                 pending.edge = (to_node, target)
@@ -613,9 +581,7 @@ class AsyncEngine:
                             pending.to_node = target
                         else:
                             # A Stop, a Move subclass or a protocol error (a
-                            # bad port included): ``_handle_action`` reads the
-                            # agent's position.
-                            state.position = node_pos[to_node]
+                            # bad port included).
                             self._handle_action(state, action)
                             changed = True
                 else:
@@ -631,34 +597,14 @@ class AsyncEngine:
                         break
         finally:
             self._decisions = decisions
-            if nodes is not None:
-                index.updates = index_updates
-                self._materialise(nodes)
-                self._nodes = None
             if tracer is not None:
                 tracer.add_span("engine.fused_loop", loop_started)
-                completions = decisions - first_decision - lattice
+                completions = decisions - first_decision - others
                 if completions:
-                    # Every inline completion is an advance with its sweep.
+                    # Every completion is an advance with its sweep.
                     tracer.count("engine.advance_decisions", completions)
                     tracer.count("engine.sweep_calls", completions)
         return self._build_result()
-
-    def _materialise(self, nodes: List[int]) -> None:
-        # Leave the node array: positions and the index's node buckets take
-        # the values incremental maintenance would have left.
-        node_occupants = self._index.node_occupants
-        where = self._index._where
-        node_occupants.clear()
-        node_pos = self._node_pos
-        for state, node in zip(self.agents, nodes):
-            state.position = node_pos[node]
-            occ = node_occupants.get(node)
-            if occ is None:
-                node_occupants[node] = {state.name}
-            else:
-                occ.add(state.name)
-            where[state.name] = node
 
     def _solo_survivor(self) -> Optional[_AgentState]:
         """The one agent left moving, if the scheduler lets it move alone.
@@ -680,25 +626,23 @@ class AsyncEngine:
             return None
         return state
 
-    def _solo(
-        self, state: _AgentState, nodes: List[int], tracer: Optional[Tracer]
-    ) -> int:
+    def _solo(self, state: _AgentState, tracer: Optional[Tracer]) -> int:
         """Move ``state`` alone, without a scheduler call per decision.
 
         Every other agent has stopped, so each node's occupants are fixed and
-        a decision is ``_loop``'s node-array completion, in its order: the
-        arrival meeting and its output check, then the program step and the
-        output check.  Returns the number of decisions taken, on the first
-        of: the run ends, the agent stops or yields anything but a plain
-        ``Move``, or the next decision is a self-loop or meets a budget
-        (``_loop`` takes it).
+        a decision is ``_loop``'s completion, in its order: the arrival
+        meeting and its output check, then the program step and the output
+        check.  Returns the number of decisions taken, on the first of: the
+        run ends, the agent stops or yields anything but a plain ``Move``,
+        or the next decision meets a budget (``_loop`` takes it).
         """
         decisions = first_decision = self._decisions
-        total = first_total = self.total_traversals
+        total = self.total_traversals
         limit = decisions + min(
             self._max_decisions - decisions, self._max_traversals - total
         )
-        here = nodes[state.index]
+        nodes = self._nodes
+        index = state.index
         # Node -> the participants of an arrival meeting there: the mover,
         # then the occupants in name order.
         occupants: Dict[int, List[_AgentState]] = {}
@@ -717,13 +661,11 @@ class AsyncEngine:
         try:
             while decisions < limit:
                 to_node = pending.to_node
-                if to_node == here:
-                    break
                 decisions += 1
                 pstates = occupants.get(to_node)
                 if pstates is not None and self._meet(pstates, to_node, decisions, total):
                     break
-                here = to_node
+                nodes[index] = to_node
                 entry = pending.entry_port
                 state.entry_port = entry
                 traversals += 1
@@ -747,7 +689,6 @@ class AsyncEngine:
                         pending.forward = False
                     pending.to_node = target
                 elif action is not None:  # as in ``_loop``
-                    state.position = self._node_pos[to_node]
                     self._handle_action(state, action)
                 if check_output and (not fast_output or controller.output is not None):
                     self._decisions = decisions
@@ -758,8 +699,6 @@ class AsyncEngine:
                     break
         finally:
             self._decisions = decisions
-            self._index.updates += total - first_total
-            nodes[state.index] = here
             if tracer is not None and decisions > first_decision:
                 tracer.count("engine.solo_decisions", decisions - first_decision)
         return decisions - first_decision
@@ -767,9 +706,9 @@ class AsyncEngine:
     def _meet(
         self, pstates: List[_AgentState], node: int, decisions: int, total: int
     ) -> bool:
-        """An arrival meeting on the node array, with nobody dormant and no
-        rendezvous target; ``pstates`` are the mover, then the occupants in
-        name order.  Returns whether it ended the run."""
+        """An arrival meeting, with nobody dormant and no rendezvous target;
+        ``pstates`` are the mover, then the occupants in name order.
+        Returns whether it ended the run."""
         event = MeetingEvent(
             participants=_snapshots(pstates),
             node=node,
@@ -808,14 +747,12 @@ class AsyncEngine:
     def _bootstrap(self) -> None:
         # Report coincidences that exist before anybody moves (agents are
         # normally placed at distinct nodes, but tests may co-locate them).
-        # Initial positions are always nodes, so grouping by node id is
-        # grouping by position.
         by_node: Dict[int, List[str]] = {}
         for state in self._agents.values():
-            by_node.setdefault(state.position.node, []).append(state.name)
+            by_node.setdefault(self._nodes[state.index], []).append(state.name)
         for node, names in by_node.items():
             if len(names) >= 2:
-                self._emit_meeting(names, self._node_pos[node])
+                self._emit_meeting(names, node, None)
                 if self._done:
                     return
         for state in self._agents.values():
@@ -824,7 +761,7 @@ class AsyncEngine:
         self._check_output_termination()
 
     # ------------------------------------------------------------------
-    # the lattice path
+    # parks and wakes
     # ------------------------------------------------------------------
     def _cannot_advance(self, mover: Any) -> SchedulerError:
         if mover.__class__ is int and 0 <= mover < len(self.agents):
@@ -835,11 +772,10 @@ class AsyncEngine:
             )
         return SchedulerError(f"no agent at index {mover!r}")
 
-    def _apply(self, choice: Any) -> None:
-        """Carry out a move on the neighbor index: a park, a wake or a completion."""
-        if choice.__class__ is int:
-            mover, target = choice, _ONE
-        elif choice.__class__ is tuple and len(choice) == 2:
+    def _apply(self, choice: Any) -> Optional[int]:
+        """Carry out a pair: park or wake its agent, or, for a target of 1,
+        return the agent's index for ``_loop`` to complete its traversal."""
+        if choice.__class__ is tuple and len(choice) == 2:
             mover, target = choice
         else:
             raise SchedulerError(f"unknown move: {choice!r}")
@@ -854,9 +790,7 @@ class AsyncEngine:
                 raise SchedulerError(f"agent {state.name!r} is not dormant")
             self._wake(state)
             self._check_output_termination()
-            return
-        if tracer is not None:
-            tracer.count("engine.advance_decisions")
+            return None
         pending = state.pending
         if pending is None:
             raise self._cannot_advance(mover)
@@ -864,136 +798,90 @@ class AsyncEngine:
             target = Fraction(target)
         t_num = target.numerator
         t_den = target.denominator
-        p_num = pending.p_num
-        p_den = pending.p_den
         # target <= progress  ⇔  t_num * p_den <= p_num * t_den;
         # target > 1          ⇔  t_num > t_den.
-        if t_num * p_den <= p_num * t_den or t_num > t_den:
+        if t_num * pending.p_den <= pending.p_num * t_den or t_num > t_den:
             raise SchedulerError(
                 f"illegal advance of {state.name!r} from {pending.progress} "
                 f"to {target}"
             )
-        self._sweep(state, pending, p_num, p_den, t_num, t_den)
-        if self._done:
-            return
         if t_num == t_den:
-            if self.total_traversals >= self._max_traversals:
-                # Completing this traversal would push the total past the
-                # budget, so the budget is exhausted *now*: the run ends with
-                # the agent parked where it is and the result never reports
-                # ``total_traversals > max_traversals``.  Zero-cost decisions
-                # (wakes, partial advances) — and hence meetings strictly
-                # inside an edge — remain possible at exactly the budget.
-                self._handle_cost_limit()
-                return
-            pending.p_num = t_num
-            pending.p_den = t_den
-            self._complete_traversal(state)
-        else:
-            pending.p_num = t_num
-            pending.p_den = t_den
-            c_num = t_num if pending.forward else t_den - t_num
-            fraction = self._index.set_edge(state.name, pending.edge, c_num, t_den)
-            state.position = Position.interior(pending.edge, fraction)
+            return mover
+        if tracer is not None:
+            tracer.count("engine.advance_decisions")
+            tracer.count("engine.sweep_calls")
+        if self._parked:
+            self._sweep(state, pending, t_num, t_den)
+            if self._done:
+                return None
+        if self._nodes[mover] is not None:
+            self._nodes[mover] = None
+            self._parked += 1
+        pending.p_num = t_num
+        pending.p_den = t_den
+        return None
+
+    def _parked_on(self, mover: _AgentState, pending: _PendingTraversal) -> List[tuple]:
+        """The agents other than ``mover`` parked inside ``pending``'s edge.
+
+        Each is ``(num, den, state)``, its point ``num / den`` of the way
+        along ``pending``'s direction.
+        """
+        found = []
+        edge = pending.edge
+        forward = pending.forward
+        left = self._parked
+        for state, node in zip(self.agents, self._nodes):
+            if node is None:
+                if state is not mover:
+                    other = state.pending
+                    if other.edge == edge:
+                        den = other.p_den
+                        num = other.p_num if other.forward is forward else den - other.p_num
+                        found.append((num, den, state))
+                left -= 1
+                if not left:
+                    break
+        return found
 
     def _sweep(
-        self,
-        mover: _AgentState,
-        pending: _PendingTraversal,
-        p_num: int,
-        p_den: int,
-        t_num: int,
-        t_den: int,
+        self, mover: _AgentState, pending: _PendingTraversal, t_num: int, t_den: int
     ) -> None:
-        """Detect and process every coincidence produced by the advance.
+        """Meet the parked agents ``mover`` passes or reaches on its edge.
 
-        Only the traversed edge's occupants can coincide with the mover:
-        interior occupants come from the edge's lattice frame, arrival
-        meetings from the destination node's occupant set.  Origin-node
-        occupants sit at progress 0 and can never satisfy
-        ``start < progress``, so they are not even examined.  All progress
-        comparisons are integer cross-multiplications.
+        An advance to ``t_num / t_den`` meets every agent parked beyond the
+        mover's progress and at most at the target, nearest first, with the
+        agents at one point in one meeting.  The arrival meeting of a
+        completion is the caller's.
         """
-        index = self._index
-        edge = pending.edge
-        frame = index.frames.get(edge)
-        scanned = 0
-        hits: Optional[List] = None
-        den = 0
-        if frame is not None:
-            den = frame.den
-            forward = pending.forward
-            lo = p_num * den  # occupant d qualifies iff d * p_den > lo ...
-            hi = t_num * den  # ... and d * t_den <= hi
-            mover_name = mover.name
-            for name, num in frame.occupants.items():
-                if name == mover_name:
-                    continue
-                scanned += 1
-                d = num if forward else den - num
-                if d * p_den > lo and d * t_den <= hi:
-                    if hits is None:
-                        hits = []
-                    hits.append((d, name))
-        arrivals: Optional[List[str]] = None
-        if t_num == t_den:
-            occupants = index.node_occupants.get(pending.to_node)
-            if occupants:
-                scanned += len(occupants)
-                arrivals = sorted(occupants)
+        p_num = pending.p_num
+        p_den = pending.p_den
+        parked = self._parked_on(mover, pending)
         if self._tracer is not None:
-            # The legacy ``fraction_ops`` name now tallies lattice operations:
-            # one integer comparison pair per occupant examined.
-            self._tracer.count("engine.sweep_calls")
-            self._tracer.count("engine.sweep_agents_scanned", scanned)
-            self._tracer.count("engine.fraction_ops", scanned)
-        if hits is None and arrivals is None:
-            return
-        if hits is not None:
-            hits.sort()
-            forward = pending.forward
-            mover_name = mover.name
-            i = 0
-            n = len(hits)
-            while i < n and not self._done:
-                d = hits[i][0]
-                names = [mover_name]
-                while i < n and hits[i][0] == d:
-                    names.append(hits[i][1])
-                    i += 1
-                c_num = d if forward else den - d
-                position = Position.interior(edge, frame.fraction(c_num))
-                self._emit_meeting(names, position)
-        if arrivals is not None and not self._done:
-            self._emit_meeting(
-                [mover.name] + arrivals, self._node_pos[pending.to_node]
-            )
-
-    def _complete_traversal(self, state: _AgentState) -> None:
-        pending = state.pending
-        assert pending is not None
-        state.pending = None
-        to_node = pending.to_node
-        self._index.set_node(state.name, to_node)
-        state.position = self._node_pos[to_node]
-        state.entry_port = pending.entry_port
-        state.traversals += 1
-        self.total_traversals += 1
-        if self._done:
-            return
-        self._request_action(state)
-        self._check_output_termination()
+            self._tracer.count("engine.sweep_agents_scanned", len(parked))
+        hits = [
+            (Fraction(num, den), state.name)
+            for num, den, state in parked
+            if num * p_den > p_num * den and num * t_den <= t_num * den
+        ]
+        hits.sort()
+        i = 0
+        n = len(hits)
+        while i < n and not self._done:
+            point = hits[i][0]
+            names = [mover.name]
+            while i < n and hits[i][0] == point:
+                names.append(hits[i][1])
+                i += 1
+            self._emit_meeting(names, None, pending.edge)
 
     # ------------------------------------------------------------------
     # meetings
     # ------------------------------------------------------------------
-    def _emit_meeting(self, names: Iterable[str], position: Position) -> None:
+    def _emit_meeting(
+        self, participants: List[str], node: Optional[int], edge: Optional[tuple]
+    ) -> None:
         agents = self._agents
-        if type(names) is list and len(names) == 2 and names[0] != names[1]:
-            # The dominant case — mover plus one occupant — needs no dedup.
-            participants: List[str] = names
-        else:
-            participants = list(dict.fromkeys(names))
         states = [agents[name] for name in participants]
         # Wake dormant participants first: a visit to a dormant agent's start
         # node wakes it, and it takes part in the resulting exchange.
@@ -1005,8 +893,8 @@ class AsyncEngine:
             woken = []
         event = MeetingEvent(
             participants=_snapshots(states),
-            node=position.node,
-            edge=position.edge,
+            node=node,
+            edge=edge,
             decision_index=self._decisions,
             total_traversals=self.total_traversals,
         )
@@ -1015,8 +903,8 @@ class AsyncEngine:
             self._tracer.event(
                 "meeting",
                 participants=participants,
-                node=position.node,
-                edge=list(position.edge) if position.edge is not None else None,
+                node=node,
+                edge=list(edge) if edge is not None else None,
                 decision=self._decisions,
                 total_traversals=self.total_traversals,
             )
@@ -1070,17 +958,6 @@ class AsyncEngine:
             return
         self._handle_action(state, action)
 
-    def _request_action(self, state: _AgentState) -> None:
-        if state.program is None or state.status != AgentStatus.ACTIVE:
-            return
-        observation = self._observe(state)
-        try:
-            action = state.program.send(observation)
-        except StopIteration:
-            self._stop_agent(state)
-            return
-        self._handle_action(state, action)
-
     def _handle_action(self, state: _AgentState, action: Any) -> None:
         cls = action.__class__
         if cls is Move:
@@ -1092,12 +969,11 @@ class AsyncEngine:
             raise ProtocolError(
                 f"agent {state.name!r} yielded {action!r}; expected Move or Stop"
             )
-        position = state.position
-        if position.node is None:
+        node = self._nodes[state.index]
+        if node is None:
             raise SimulationError(
                 f"agent {state.name!r} asked to move while not at a node"
             )
-        node = position.node
         row = self._adj[node]
         port = action.port
         if not (0 <= port < len(row)):
@@ -1115,13 +991,13 @@ class AsyncEngine:
         state.pending = None
 
     def _observe(self, state: _AgentState) -> Observation:
-        position = state.position
-        if position.node is None:
+        node = self._nodes[state.index]
+        if node is None:
             raise SimulationError(
                 f"cannot observe for agent {state.name!r}: not at a node"
             )
         return Observation(
-            degree=len(self._adj[position.node]),
+            degree=len(self._adj[node]),
             entry_port=state.entry_port,
             traversals=state.traversals,
         )

@@ -63,10 +63,10 @@ class Position:
         """Unchecked constructor for a point *strictly inside* ``edge``.
 
         The caller guarantees ``0 < fraction < 1`` in canonical orientation —
-        the engine's lattice layer (:mod:`repro.sim.lattice`) only hands out
-        interior fractions, so re-validating and re-normalising on every
-        parked agent would be pure overhead.  Use :meth:`on_edge` whenever the
-        fraction is not already proven interior.
+        the engine builds it from a parked agent's progress, which is
+        strictly inside its edge, so re-validating and re-normalising it
+        would be pure overhead.  Use :meth:`on_edge` whenever the fraction is
+        not already proven interior.
         """
         return Position(node=None, edge=edge, fraction=fraction)
 

@@ -51,8 +51,8 @@ SOLO_FIXTURE_PATH = Path(__file__).resolve().parent / "engine_solo_records.json"
 
 #: Trace counters that must not change across the refactor: what the engine
 #: *did* (decisions, traversals, meetings, sweeps), as opposed to what the
-#: bookkeeping *cost* (``engine.fraction_ops`` and the ``*_agents_scanned``
-#: counters, whose whole point is to shrink).
+#: bookkeeping *cost* (the ``*_agents_scanned`` counters, whose whole point
+#: is to shrink).
 INVARIANT_COUNTERS = frozenset(
     {
         "engine.decisions",
@@ -250,7 +250,7 @@ def cross_check_specs() -> List[Tuple[str, ScenarioSpec]]:
 
     The fair cells (round-robin, random, lazy, delay-until-stop) never park
     an agent; the avoider cells park agents inside edges, so they pin the
-    lattice path beyond the three avoider goldens.
+    sweeps of parked agents beyond the three avoider goldens.
     """
     specs: List[Tuple[str, ScenarioSpec]] = []
     rng = random.Random(20260808)

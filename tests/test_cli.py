@@ -377,8 +377,8 @@ class TestObservabilityCli:
     @pytest.mark.parametrize("scheduler", ["random", "avoider"])
     def test_run_profile_names_the_loop_it_measured(self, tmp_path, capsys, scheduler):
         # Every adversary runs the one loop, timed as ``engine.fused_loop``:
-        # the random adversary on the node array, the meeting-avoiding one
-        # on the lattice path too.
+        # the random adversary, and the meeting-avoiding one that parks
+        # agents inside edges.
         path = tmp_path / "scenario.json"
         path.write_text(
             json.dumps(

@@ -15,6 +15,7 @@ from repro.sim import (
     AgentSpec,
     AsyncEngine,
     FunctionController,
+    Position,
     RoundRobinScheduler,
     StationaryController,
     StopReason,
@@ -73,10 +74,9 @@ class TestBasicExecution:
 
     @pytest.mark.parametrize("generic", [False, True], ids=["fused", "generic"])
     def test_move_subclass_moves_from_the_node_reached(self, generic):
-        # Both paths hand a Move subclass to the generic action handler,
-        # which must see the node the traversal just reached: a bare index
-        # completes on the node array, an ``(index, 1)`` pair on the lattice
-        # path.
+        # A completion hands a Move subclass to the generic action handler,
+        # which must see the node the traversal just reached, whether the
+        # scheduler names a bare index or an ``(index, 1)`` pair.
         class Hop(Move):
             pass
 
@@ -162,6 +162,83 @@ class TestMeetings:
         assert result.meeting.edge == (0, 1)
         assert result.meeting.node is None
         assert result.total_traversals == 0  # nobody completed a traversal yet
+
+    def test_sweeps_through_parked_agents_group_coincident_points(self):
+        # On the path 0-1-2-3, "a" and "b" park on edge (1, 2) from opposite
+        # ends, a third of the way each.  "c" reaches node 1 and parks on
+        # "b"'s point, sweeping over "a" first; "d" then crosses the whole
+        # edge from node 2 and meets "b" and "c" together, then "a".  Moves
+        # mix bare indices and pairs; before every decision the scheduler
+        # reads each agent's position and ``max_safe_advance``.
+        third = Fraction(1, 3)
+
+        class Recording(Scheduler):
+            def __init__(self, moves):
+                super().__init__()
+                self._moves = list(moves)
+                self.seen = []
+
+            def choose(self, engine):
+                self.seen.append(
+                    [(st.position, engine.max_safe_advance(st.index)) for st in engine.agents]
+                )
+                if not self._moves:
+                    return None
+                name, to = self._moves.pop(0)
+                index = engine.index_of(name)
+                return index if to is None else (index, to)
+
+        scheduler = Recording(
+            [("a", third), ("b", third), ("c", None), ("c", 2 * third),
+             ("d", Fraction(1)), ("d", None)]
+        )
+        engine = AsyncEngine(
+            families.path(4),
+            [AgentSpec(scripted("a", [1], label=1), 1),
+             AgentSpec(scripted("b", [0], label=2), 2),
+             AgentSpec(scripted("c", [0, 1], label=3), 0),
+             AgentSpec(scripted("d", [0, 0], label=4), 3)],
+            scheduler,
+        )
+        result = engine.run()
+        assert result.reason == StopReason.SCHEDULER_EXHAUSTED
+        assert (result.total_traversals, result.decisions) == (3, 7)
+        assert [
+            (event.names(), event.edge, event.node, event.decision_index,
+             event.total_traversals)
+            for event in result.meetings
+        ] == [
+            (("c", "a"), (1, 2), None, 4, 1),
+            (("c", "b"), (1, 2), None, 4, 1),
+            (("d", "b", "c"), (1, 2), None, 6, 2),
+            (("d", "a"), (1, 2), None, 6, 2),
+        ]
+        node = Position.at_node
+
+        def inside(fraction):
+            return Position.on_edge((1, 2), fraction)
+
+        half = Fraction(1, 2)
+        one = Fraction(1)
+        sixth = Fraction(1, 6)
+        # Rows are agents a, b, c, d: (position, max_safe_advance).
+        assert scheduler.seen == [
+            [(node(1), half), (node(2), half), (node(0), half), (node(3), half)],
+            [(inside(third), 2 * third), (node(2), third), (node(0), one),
+             (node(3), half)],
+            [(inside(third), half), (inside(2 * third), half), (node(0), one),
+             (node(3), one)],
+            [(inside(third), half), (inside(2 * third), half), (node(1), sixth),
+             (node(3), one)],
+            [(inside(third), half), (inside(2 * third), half),
+             (inside(2 * third), one), (node(3), one)],
+            # "d" heads into "c", which comes the other way.
+            [(inside(third), half), (inside(2 * third), half),
+             (inside(2 * third), 5 * sixth), (node(2), sixth)],
+            # "d" has stopped at node 1.
+            [(inside(third), half), (inside(2 * third), half),
+             (inside(2 * third), one), (node(1), None)],
+        ]
 
     def test_meeting_records_public_snapshots(self, ring6):
         a = scripted("a", [0, 0], label=5)
@@ -315,8 +392,8 @@ class TestTermination:
 
     def test_cost_limit_can_return_instead(self, ring6):
         # One walker alone, then two with no rendezvous goal that burn the
-        # whole budget on the node array (round_robin, random) and on the
-        # lattice path (the avoider parks agents).
+        # whole budget, without parking (round_robin, random) and parking
+        # agents inside edges (the avoider).
         cases = [(RoundRobinScheduler(), 1)] + [
             (scheduler, 2)
             for scheduler in (RoundRobinScheduler(), RandomScheduler(seed=1),
@@ -443,7 +520,7 @@ class TestEngineView:
         # A finished run holds every meeting event; if the engine sat in a
         # reference cycle (say, with a stored view) all of it would stay
         # alive until the cyclic collector ran.  The avoider ("generic")
-        # also parks agents, so its run takes the lattice path.
+        # also parks agents inside edges.
         engine = AsyncEngine(
             ring6,
             [AgentSpec(scripted("a", [0, 0, 0], label=1), 0),

@@ -16,7 +16,7 @@ scenario on the current engine and compares canonical JSON:
 
 ``tests/golden/engine_generic_records.json`` holds what the generic loop
 produced for seeded specs outside the golden sample, under every adversary
-(fair ones, the avoider on the lattice path), and for hand-built engine runs
+(fair ones, and the avoider, which parks agents), and for hand-built engine runs
 no spec expresses: weighted random adversaries, wake schedules, and the
 scheduler state (generator, lazy cursor and release) each run leaves behind.
 The one loop reproduces all of it, so equivalence does not silently narrow to
@@ -136,7 +136,8 @@ def test_generic_fixture_covers_every_case_and_adversary():
     assert sorted(GENERIC["direct"]) == sorted(DIRECT_CASES)
     adversaries = {spec.scheduler for spec in CROSS_CHECK_SPECS.values()}
     assert adversaries == {"round_robin", "random", "lazy", "delay_until_stop", "avoider"}
-    # The avoider cells park agents, so they exercise the lattice path.
+    # The avoider cells park agents, so they exercise the sweeps of parked
+    # agents.
     for name, spec in CROSS_CHECK_SPECS.items():
         record = GENERIC["specs"][name]["record"]
         if spec.scheduler == "avoider":

@@ -239,7 +239,7 @@ class TestTracedRuns:
         second = traced_again.extra_dict["trace"]
         assert deterministic_view(first) == deterministic_view(second)
         assert first["counters"]["engine.decisions"] > 0
-        # The lattice path also tallies the operations of its sweeps.
+        # Parking runs also tally the agents ``max_safe_advance`` examined.
         spec = ScenarioSpec(
             problem="rendezvous", family="ring", size=6, seed=8, labels=(2, 9),
             starts=(1, 4), scheduler="avoider",
@@ -247,7 +247,7 @@ class TestTracedRuns:
         first, second = (run(spec, trace=True).extra_dict["trace"] for _ in range(2))
         assert deterministic_view(first) == deterministic_view(second)
         assert "engine.fused_loop" in first["spans"]
-        assert first["counters"]["engine.fraction_ops"] > 0
+        assert first["counters"]["engine.msa_agents_scanned"] > 0
 
     def test_trace_round_trips_through_record_json(self, traced_record):
         rebuilt = RunRecord.from_dict(json.loads(traced_record.to_json()))
