@@ -611,13 +611,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-records",
         type=int,
         default=None,
-        help="evict least-recently-accessed records beyond this count",
+        help="evict the oldest-written records beyond this count (N >= 0)",
     )
     store_gc.add_argument(
         "--max-bytes",
         type=int,
         default=None,
-        help="evict least-recently-accessed records until the shards fit",
+        help="evict the oldest-written records until the shards fit in N bytes (N >= 0)",
     )
 
     store_merge = store_sub.add_parser(
@@ -1154,8 +1154,7 @@ def _run_store(args: argparse.Namespace) -> int:
                 print(
                     f"store {args.store}: {stats['records']} records, "
                     f"{stats['shards']} shards, {stats['writers']} writer "
-                    f"namespace(s), {stats['bytes']:,} bytes, "
-                    f"{stats['last_read_tracked']} access stamps"
+                    f"namespace(s), {stats['bytes']:,} bytes"
                 )
                 return 0
             matches = {}
@@ -1227,7 +1226,7 @@ def _run_store(args: argparse.Namespace) -> int:
                 f"gc {args.store}: kept {report['kept']} records, "
                 f"dropped {report['dropped_corrupt']} corrupt and "
                 f"{report['dropped_duplicate']} duplicate lines, "
-                f"evicted {report['evicted']} LRU records, "
+                f"evicted {report['evicted']} oldest-written records, "
                 f"reclaimed {report['reclaimed_bytes']:,} bytes"
             )
             return 0

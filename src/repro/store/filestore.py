@@ -5,7 +5,6 @@ Layout of a store directory (default name ``.repro-store``)::
     .repro-store/
     ├── store.meta.json      # format + spec-key versions, written once
     ├── index.jsonl          # one {"key", "shard"} line per stored record
-    ├── lastread.json        # advisory {key: last-access epoch} for LRU gc
     ├── .lock                # advisory flock target for multi-writer stores
     └── shards/
         ├── 0a.jsonl         # records whose key starts with "0a"
@@ -50,9 +49,8 @@ import contextlib
 import json
 import os
 import re
-import time
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, IO, Iterator, Optional, Set, Tuple
 
 try:  # pragma: no cover - fcntl is present on every POSIX platform we run on
     import fcntl
@@ -75,7 +73,6 @@ FORMAT_VERSION = 1
 
 _META_NAME = "store.meta.json"
 _INDEX_NAME = "index.jsonl"
-_LASTREAD_NAME = "lastread.json"
 _LOCK_NAME = ".lock"
 _SHARD_DIR = "shards"
 
@@ -163,8 +160,6 @@ class FileStore(ResultStore):
         self._handles: Dict[str, IO[str]] = {}
         self._index_handle: Optional[IO[str]] = None
         self._truncated_dropped = 0
-        self._last_read: Dict[str, float] = {}
-        self._lastread_dirty = False
         # How much of index.jsonl this handle has consumed: the byte offset
         # just past the last complete line read, that line itself (to tell
         # a grown index from a rewritten one), the line count (for error
@@ -186,10 +181,6 @@ class FileStore(ResultStore):
     def _index_path(self) -> Path:
         return self.root / _INDEX_NAME
 
-    @property
-    def _lastread_path(self) -> Path:
-        return self.root / _LASTREAD_NAME
-
     def _shard_path(self, shard: str) -> Path:
         return self.root / _SHARD_DIR / f"{shard}.jsonl"
 
@@ -202,9 +193,9 @@ class FileStore(ResultStore):
     def _locked(self) -> Iterator[None]:
         """Hold the store's advisory lock (a no-op where flock is missing).
 
-        Guards the shared append/rewrite targets — ``index.jsonl`` and
-        ``lastread.json`` — against concurrent writer processes.  Shard
-        appends never need it: each writer owns its namespace's files.
+        Guards the shared append/rewrite target ``index.jsonl`` against
+        concurrent writer processes.  Shard appends never need it: each
+        writer owns its namespace's files.
         """
         if fcntl is None:  # pragma: no cover
             yield
@@ -256,23 +247,6 @@ class FileStore(ResultStore):
             raise StoreError(f"no result store at {self.root}")
         (self.root / _SHARD_DIR).mkdir(parents=True, exist_ok=True)
         self._load_index()
-        self._load_last_read()
-
-    def _load_last_read(self) -> None:
-        """Load the advisory last-access map (tolerating absence/corruption).
-
-        The map only steers LRU eviction, so a damaged file degrades to
-        "never accessed" rather than an error.
-        """
-        try:
-            data = json.loads(self._lastread_path.read_text(encoding="utf-8"))
-            self._last_read = {
-                str(key): float(stamp)
-                for key, stamp in data.items()
-                if isinstance(stamp, (int, float))
-            }
-        except (OSError, json.JSONDecodeError, AttributeError):
-            self._last_read = {}
 
     def _index_fingerprint(self) -> Optional[Tuple[int, int, int]]:
         """Cheap change detector for ``index.jsonl``: ``(inode, size, mtime_ns)``."""
@@ -471,12 +445,7 @@ class FileStore(ResultStore):
             del self._index[digest]
             self._version += 1
             return None
-        self._touch(digest)
         return record
-
-    def _touch(self, key: str) -> None:
-        self._last_read[key] = time.time()
-        self._lastread_dirty = True
 
     def _append_record(self, key: str, record: RunRecord) -> None:
         shard = self._shard_for(key)
@@ -501,7 +470,6 @@ class FileStore(ResultStore):
         if shard in self._shard_cache:
             # Keep the cache coherent; re-parse is wasteful for an append.
             self._shard_cache[shard][key] = record
-        self._touch(key)
 
     def _append_index_line(self, key: str, shard: str) -> int:
         """Append one index line (the caller holds the lock); return its size.
@@ -547,18 +515,6 @@ class FileStore(ResultStore):
     def keys(self) -> Tuple[str, ...]:
         return tuple(self._index)
 
-    def _ordered_records(self) -> List[RunRecord]:
-        memo = self._order_memo
-        served_from_memo = memo is not None and memo[0] == self._version
-        records = super()._ordered_records()
-        if served_from_memo and self._index:
-            # A full scan reads every record: stamp them as get() would.
-            stamps, clock = self._last_read, time.time
-            for key in self._index:
-                stamps[key] = clock()
-            self._lastread_dirty = True
-        return records
-
     # ------------------------------------------------------------------
     # handles / lifecycle
     # ------------------------------------------------------------------
@@ -591,40 +547,6 @@ class FileStore(ResultStore):
             handle.flush()
         if self._index_handle is not None:
             self._index_handle.flush()
-        self._persist_last_read()
-
-    def _persist_last_read(self, keep: Optional[Dict[str, float]] = None) -> None:
-        """Merge this handle's access stamps into ``lastread.json``.
-
-        Merging (per-key max) under the advisory lock keeps concurrent
-        writers from clobbering each other's stamps; ``keep`` replaces the
-        merge outcome entirely (what :meth:`gc` uses after eviction).
-        """
-        if keep is None and not self._lastread_dirty:
-            return
-        with self._locked():
-            if keep is not None:
-                merged = dict(keep)
-            else:
-                try:
-                    merged = {
-                        str(key): float(stamp)
-                        for key, stamp in json.loads(
-                            self._lastread_path.read_text(encoding="utf-8")
-                        ).items()
-                        if isinstance(stamp, (int, float))
-                    }
-                except (OSError, json.JSONDecodeError, AttributeError):
-                    merged = {}
-                for key, stamp in self._last_read.items():
-                    if merged.get(key, 0.0) < stamp:
-                        merged[key] = stamp
-            _atomic_write(
-                self._lastread_path,
-                json.dumps(merged, sort_keys=True, separators=(",", ":")) + "\n",
-            )
-        self._last_read = merged
-        self._lastread_dirty = False
 
     def close(self) -> None:
         self.flush()
@@ -661,14 +583,20 @@ class FileStore(ResultStore):
         empty shards removed, and ``index.jsonl`` regenerated.
 
         ``max_records`` / ``max_bytes`` additionally bound the surviving
-        store: least-recently-accessed records (by the advisory
-        ``lastread.json`` stamps; never-accessed records go first) are
-        evicted until both budgets hold — the bounded-cache story for
-        long-running fleets.  Returns counters::
+        store: records are evicted in write order, oldest first, until both
+        budgets hold.  Write order is the order in which ``index.jsonl``
+        first lists a key; a key it does not list counts as the newest.  The
+        survivors are re-indexed in that order, so a later budgeted ``gc``
+        evicts the oldest of them.  A budget of ``0`` evicts everything; a
+        negative one raises :class:`~repro.exceptions.StoreError` before the
+        store is touched.  Returns counters::
 
             {"kept": ..., "dropped_corrupt": ..., "dropped_duplicate": ...,
              "evicted": ..., "reclaimed_bytes": ...}
         """
+        for name, budget in (("max_records", max_records), ("max_bytes", max_bytes)):
+            if budget is not None and budget < 0:
+                raise StoreError(f"gc budget {name} must be >= 0, got {budget}")
         self.close()
         dropped_corrupt = 0
         total_lines = 0
@@ -683,6 +611,11 @@ class FileStore(ResultStore):
             merged.update(records)
         dropped_duplicate = max(0, total_lines - dropped_corrupt - len(merged))
 
+        rank = {key: position for position, key in enumerate(self._index)}
+        merged = {
+            key: merged[key]
+            for key in sorted(merged, key=lambda key: rank.get(key, len(rank)))
+        }
         lines_of = {
             key: json.dumps(
                 {"key": key, "record": record.to_dict()},
@@ -694,8 +627,7 @@ class FileStore(ResultStore):
         evicted = 0
         if max_records is not None or max_bytes is not None:
             total_bytes = sum(len(line) + 1 for line in lines_of.values())
-            # Oldest access first; never-accessed records (stamp 0.0) lead.
-            for key in sorted(merged, key=lambda k: (self._last_read.get(k, 0.0), k)):
+            for key in list(merged):  # oldest write first
                 over_records = max_records is not None and len(merged) > max_records
                 over_bytes = max_bytes is not None and total_bytes > max_bytes
                 if not (over_records or over_bytes):
@@ -707,8 +639,7 @@ class FileStore(ResultStore):
         by_shard: Dict[str, Dict[str, RunRecord]] = {}
         for key, record in merged.items():
             by_shard.setdefault(key[:2], {})[key] = record
-        index_lines = []
-        new_index: Dict[str, str] = {}
+        new_index = {key: key[:2] for key in merged}
         with self._locked():
             for path in shard_paths:
                 if path.stem not in by_shard:
@@ -718,12 +649,11 @@ class FileStore(ResultStore):
                     self._shard_path(shard),
                     "\n".join(lines_of[key] for key in records) + "\n",
                 )
-                for key in records:
-                    index_lines.append(
-                        json.dumps({"key": key, "shard": shard}, sort_keys=True, separators=(",", ":"))
-                    )
-                    new_index[key] = shard
-            index_text = "\n".join(index_lines) + "\n" if index_lines else ""
+            index_text = "".join(
+                json.dumps({"key": key, "shard": shard}, sort_keys=True, separators=(",", ":"))
+                + "\n"
+                for key, shard in new_index.items()
+            )
             _atomic_write(self._index_path, index_text)
             self._index_rewritten(index_text)
         after = sum(
@@ -732,9 +662,6 @@ class FileStore(ResultStore):
         self._index = new_index
         self._shard_cache = dict(by_shard)
         self._truncated_dropped = 0
-        self._persist_last_read(
-            keep={key: stamp for key, stamp in self._last_read.items() if key in new_index}
-        )
         return {
             "kept": len(merged),
             "dropped_corrupt": dropped_corrupt,
@@ -787,5 +714,4 @@ class FileStore(ResultStore):
             "writers": len(writers),
             "bytes": sum(path.stat().st_size for path in shard_paths),
             "truncated_dropped": self._truncated_dropped,
-            "last_read_tracked": len(self._last_read),
         }

@@ -662,7 +662,7 @@ class TestIncrementalRefresh:
         assert store.generation() == after_gc
 
         # An index entry whose shard lacks the record: visible after the
-        # refresh, dropped lazily by get() — and the stamp follows both.
+        # refresh, dropped lazily by get() — and the generation follows both.
         missing = ScenarioSpec(size=11, seed=3).key()
         shard = store._index[next(iter(store.keys()))]
         with (root / "index.jsonl").open("a") as handle:
@@ -672,11 +672,3 @@ class TestIncrementalRefresh:
         assert store.get(missing) is None
         assert store.generation() == after_gc
         store.close()
-
-    def test_queries_from_the_sorted_snapshot_still_stamp_every_record(self, root):
-        with FileStore(root) as store:
-            store.query()
-            assert set(store._last_read) == set(store.keys())
-            store._last_read = dict.fromkeys(store.keys(), 0.0)
-            store.query(problem="rendezvous", limit=1)  # served from the snapshot
-            assert all(stamp > 0.0 for stamp in store._last_read.values())

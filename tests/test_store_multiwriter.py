@@ -1,12 +1,12 @@
-"""Tests of the multi-writer FileStore, store merging and LRU eviction."""
+"""Tests of the multi-writer FileStore, store merging and budgeted gc."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,18 @@ from repro.store import FileStore, MemoryStore, merge_stores
 
 def _record(size: int, seed: int = 0) -> RunRecord:
     return run(ScenarioSpec(size=size, seed=seed))
+
+
+def _snapshot(root: Path) -> dict:
+    """``{relative path: (sha256, mtime_ns)}`` of every file under ``root``."""
+    return {
+        path.relative_to(root).as_posix(): (
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            path.stat().st_mtime_ns,
+        )
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
 
 
 def _tampered_copy(record: RunRecord) -> RunRecord:
@@ -263,22 +275,54 @@ class TestLruEviction:
                 store.put(record)
         return records
 
-    def test_gc_max_records_evicts_least_recently_read(self, tmp_path):
+    def test_gc_max_records_evicts_oldest_written(self, tmp_path):
         root = tmp_path / "s"
-        records = self._fill(root)
+        by_key = sorted(
+            (_record(size) for size in range(4, 10)), key=lambda record: record.spec.key()
+        )
+        # A write order that is neither key order nor shard order.
+        written = [by_key[i] for i in (2, 5, 0, 4, 1, 3)]
+        keys = [record.spec.key() for record in written]
+        assert keys != sorted(keys)
+        assert keys != sorted(keys, key=lambda key: key[:2])
         with FileStore(root) as store:
-            # Touch the last two records; the untouched ones must go first.
-            time.sleep(0.01)
-            store.get(records[2].spec)
-            store.get(records[3].spec)
-        store = FileStore(root)
-        report = store.gc(max_records=2)
+            for record in written:
+                store.put(record)
+
+        def index_keys():
+            lines = (root / "index.jsonl").read_text().splitlines()
+            return [json.loads(line)["key"] for line in lines]
+
+        def gc_after_reading_the_oldest(budget, oldest):
+            # Reading the oldest records first does not save them.
+            store = FileStore(root)
+            assert [store.get(record.spec) for record in oldest] == oldest
+            return store.gc(max_records=budget)
+
+        report = gc_after_reading_the_oldest(4, written[:2])
+        assert report["evicted"] == 2 and report["kept"] == 4
+        assert index_keys() == keys[2:]
+        # The second pass evicts the oldest survivors, which needs the
+        # first pass's index in write order rather than grouped by shard.
+        report = gc_after_reading_the_oldest(2, written[2:4])
         assert report["evicted"] == 2 and report["kept"] == 2
+        assert index_keys() == keys[4:]
         with FileStore(root) as reopened:
-            assert reopened.get(records[0].spec) is None
-            assert reopened.get(records[1].spec) is None
-            assert reopened.get(records[2].spec) == records[2]
-            assert reopened.get(records[3].spec) == records[3]
+            assert sorted(reopened.keys()) == sorted(keys[4:])
+            for record in written[4:]:
+                assert reopened.get(record.spec) == record
+
+    def test_gc_refuses_negative_budgets_before_touching_the_store(self, tmp_path):
+        root = tmp_path / "s"
+        self._fill(root, sizes=(4, 5))
+        before = _snapshot(root)
+        store = FileStore(root)
+        for budget in ({"max_records": -1}, {"max_bytes": -5}):
+            with pytest.raises(StoreError, match="must be >= 0"):
+                store.gc(**budget)
+        assert len(store) == 2
+        store.close()
+        assert _snapshot(root) == before
 
     def test_gc_max_bytes_bounds_the_shards(self, tmp_path):
         root = tmp_path / "s"
@@ -289,18 +333,6 @@ class TestLruEviction:
         assert report["evicted"] >= 1
         total = sum(path.stat().st_size for path in (root / "shards").glob("*.jsonl"))
         assert total <= budget
-
-    def test_lastread_survives_reopen_and_prunes_on_gc(self, tmp_path):
-        root = tmp_path / "s"
-        records = self._fill(root, sizes=(4, 5))
-        with FileStore(root) as store:
-            store.get(records[1].spec)
-        stamps = json.loads((root / "lastread.json").read_text())
-        assert records[1].spec.key() in stamps
-        store = FileStore(root)
-        store.gc(max_records=1)
-        stamps = json.loads((root / "lastread.json").read_text())
-        assert set(stamps) == {records[1].spec.key()}
 
     def test_corrupt_lastread_is_ignored(self, tmp_path):
         root = tmp_path / "s"
@@ -347,6 +379,60 @@ class TestStoreCliExtensions:
         a, _b = stores
         assert main(["store", "gc", "--store", a, "--max-records", "1"]) == 0
         out = capsys.readouterr().out
-        assert "evicted 1 LRU records" in out
+        assert "evicted 1 oldest-written records" in out
         assert main(["store", "ls", "--store", a, "--stat"]) == 0
         assert "1 records" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--max-records", "--max-bytes"])
+    def test_store_gc_refuses_a_negative_budget(self, stores, capsys, flag):
+        from repro.cli import main
+
+        a, _b = stores
+        before = _snapshot(Path(a))
+        assert main(["store", "gc", "--store", a, flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert _snapshot(Path(a)) == before
+        # Zero is a valid budget: it evicts everything, on purpose.
+        assert main(["store", "gc", "--store", a, flag, "0"]) == 0
+        assert "kept 0 records" in capsys.readouterr().out
+        with FileStore(a, create=False) as store:
+            assert len(store) == 0
+
+
+class TestReadsNeverWrite:
+    def test_a_read_only_session_leaves_every_file_byte_identical(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.distrib import WorkQueue
+
+        queue = WorkQueue(tmp_path / "queue", create=True)
+        root = queue.results_root / "w1"
+        records = [_record(size) for size in (4, 5, 6)]
+        with FileStore(root) as store:
+            store.put(records[0])
+        with FileStore(root, writer="w1") as store:
+            for record in records[1:]:
+                store.put(record)
+        keys = [record.spec.key() for record in records]
+        before = _snapshot(root)
+
+        store = FileStore(root)
+        assert store.get(keys[0]) == records[0]
+        assert store.get_many(keys) == records
+        assert len(store.query()) == 3
+        assert len(store.query(problem="rendezvous", limit=1)) == 1
+        assert sorted(store.keys()) == sorted(keys)
+        assert store.stats()["records"] == 3
+        generation = store.generation()
+        assert store.refresh() is False
+        assert store.generation() == generation
+        store.close()
+
+        for argv in (["ls"], ["ls", "--stat"], ["show", keys[1][:12]]):
+            assert main(["store", *argv, "--store", str(root)]) == 0
+        capsys.readouterr()
+
+        assert queue.find_records(keys) == dict(zip(keys, records))
+        assert _snapshot(root) == before
