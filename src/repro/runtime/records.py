@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..exceptions import ReproError
-from .spec import ScenarioSpec, SweepSpec
+from .spec import _SCALARS, ScenarioSpec, SweepSpec
 
 __all__ = ["RunRecord", "SweepResult", "resolve_field"]
 
@@ -82,7 +82,7 @@ class RunRecord:
     extra: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if isinstance(self.extra, Mapping):
+        if type(self.extra) is dict or isinstance(self.extra, Mapping):
             items = sorted((str(k), v) for k, v in self.extra.items())
         else:
             items = [(str(k), v) for k, v in self.extra]
@@ -134,14 +134,9 @@ class RunRecord:
     # serialisation
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {}
-        for record_field in fields(self):
-            value = getattr(self, record_field.name)
-            if record_field.name == "spec":
-                value = value.to_dict()
-            elif record_field.name == "extra":
-                value = {key: _jsonable(item) for key, item in value}
-            data[record_field.name] = value
+        data = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        data["spec"] = self.spec.to_dict()
+        data["extra"] = {key: _jsonable(item) for key, item in self.extra}
         return data
 
     def to_json(self, **dumps_kwargs: Any) -> str:
@@ -156,6 +151,10 @@ class RunRecord:
         return cls(**payload)
 
 
+#: The record's field names, in declaration order (the keys of ``to_dict``).
+_RECORD_FIELDS = tuple(record_field.name for record_field in fields(RunRecord))
+
+
 def _canonical(value: Any) -> Any:
     """Normalise an extra value to a JSON-stable shape.
 
@@ -163,7 +162,21 @@ def _canonical(value: Any) -> Any:
     keys become strings (in sorted order) — exactly the shapes that survive a
     ``to_dict`` / ``from_dict`` round trip unchanged, so stored records
     compare equal to freshly computed ones.
+
+    The exact types a decoded JSON line holds (scalars, ``list``, ``tuple``,
+    ``dict``) are dispatched on ``type(value)`` first and give the same shapes
+    as the ``isinstance`` fallback below, which handles everything else (sets,
+    namedtuples, other mappings and subclasses).  ``sorted(value, key=str)``
+    orders keys as sorting the items by ``str(key)`` does, so on colliding
+    ``str`` forms the later key still wins.
     """
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is list or kind is tuple:
+        return tuple([_canonical(item) for item in value])
+    if kind is dict:
+        return {str(key): _canonical(value[key]) for key in sorted(value, key=str)}
     if isinstance(value, (tuple, list)):
         return tuple(_canonical(item) for item in value)
     if isinstance(value, (set, frozenset)):

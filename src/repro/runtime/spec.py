@@ -41,13 +41,19 @@ ParamItems = Tuple[Tuple[str, Any], ...]
 
 
 def _freeze_params(params: Any) -> ParamItems:
-    """Normalise a mapping / item sequence into a sorted tuple of pairs."""
+    """Normalise a mapping / item sequence into a sorted tuple of pairs.
+
+    An exact ``dict`` (a JSON object) or ``tuple`` (an already-frozen bag)
+    is classified by its type alone; the ``Mapping`` check would put it on
+    the same branch.
+    """
     if params is None:
         return ()
-    if isinstance(params, Mapping):
+    kind = type(params)
+    if kind is dict or (kind is not tuple and isinstance(params, Mapping)):
         items = params.items()
     else:
-        items = [(key, value) for key, value in params]
+        items = params
     return tuple(sorted((str(key), value) for key, value in items))
 
 
@@ -57,14 +63,29 @@ def _freeze_ints(values: Any) -> Optional[Tuple[int, ...]]:
     return tuple(int(value) for value in values)
 
 
+#: Exact types that :func:`_freeze_value` (and ``records._canonical``) return
+#: unchanged without walking the ``isinstance`` chain.
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+
 def _freeze_value(value: Any) -> Any:
     """Recursively freeze an arbitrary initial value into a hashable shape.
 
     Mappings become sorted ``(key, value)`` pair tuples, sequences and sets
     become tuples; scalars pass through.  The frozen shape is what travels in
     the spec (and hence in team-member values handed to Algorithm SGL).
+
+    Scalars and exact ``list``/``tuple``/``dict`` values are dispatched on
+    ``type(value)`` first and give the same shapes as the ``isinstance``
+    fallback, which handles everything else (other mappings, sets,
+    namedtuples and subclasses).
     """
-    if isinstance(value, Mapping):
+    kind = type(value)
+    if kind in _SCALARS:
+        return value
+    if kind is list or kind is tuple:
+        return tuple([_freeze_value(item) for item in value])
+    if kind is dict or isinstance(value, Mapping):
         return tuple(sorted((str(key), _freeze_value(item)) for key, item in value.items()))
     if isinstance(value, (list, tuple)):
         return tuple(_freeze_value(item) for item in value)
@@ -284,15 +305,15 @@ class ScenarioSpec:
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form; parameter bags become JSON objects."""
         data: Dict[str, Any] = {}
-        for spec_field in fields(self):
-            value = getattr(self, spec_field.name)
-            if spec_field.name in ("scheduler_params", "problem_params"):
+        for name in _SCENARIO_FIELDS:
+            value = getattr(self, name)
+            if name in ("scheduler_params", "problem_params"):
                 value = dict(value)
-            elif spec_field.name == "values":
+            elif name == "values":
                 value = None if value is None else [_listify(item) for item in value]
             elif isinstance(value, tuple):
                 value = list(value)
-            data[spec_field.name] = value
+            data[name] = value
         return data
 
     def to_json(self, **dumps_kwargs: Any) -> str:
@@ -302,8 +323,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        known = {spec_field.name for spec_field in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data).difference(_SCENARIO_FIELDS)
         if unknown:
             raise ReproError(f"unknown ScenarioSpec fields: {sorted(unknown)}")
         return cls(**dict(data))
@@ -314,6 +334,10 @@ class ScenarioSpec:
         if not isinstance(data, dict):
             raise ReproError("a ScenarioSpec JSON document must be an object")
         return cls.from_dict(data)
+
+
+#: ScenarioSpec's field names, in declaration order (the keys of ``to_dict``).
+_SCENARIO_FIELDS = tuple(spec_field.name for spec_field in fields(ScenarioSpec))
 
 
 def _optional_int(value: Any) -> Optional[int]:

@@ -50,7 +50,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, Optional, Set, Tuple
+from typing import Any, Dict, IO, Iterator, List, Optional, Set, Tuple
 
 try:  # pragma: no cover - fcntl is present on every POSIX platform we run on
     import fcntl
@@ -184,6 +184,19 @@ class FileStore(ResultStore):
     def _shard_path(self, shard: str) -> Path:
         return self.root / _SHARD_DIR / f"{shard}.jsonl"
 
+    def _shard_names(self) -> List[str]:
+        """Every shard on disk, in file-name order.
+
+        Sorting the file names with their ``.jsonl`` suffix gives the order
+        sorted ``Path`` objects have (``ab--w1.jsonl`` before ``ab.jsonl``),
+        which decides the shard an unindexed key is filed under.
+        """
+        try:
+            names = os.listdir(self.root / _SHARD_DIR)
+        except FileNotFoundError:
+            return []
+        return [name[:-6] for name in sorted(names) if name.endswith(".jsonl")]
+
     def _shard_for(self, key: str) -> str:
         """The shard this store appends ``key`` to (writer-namespaced)."""
         prefix = key[:2]
@@ -278,9 +291,7 @@ class FileStore(ResultStore):
         named = self._consume_index() or set()
         if self._index_stat is not None and self._index_stat[1] > self._index_offset:
             self._truncated_dropped += 1
-        shard_dir = self.root / _SHARD_DIR
-        for path in sorted(shard_dir.glob("*.jsonl")):
-            shard = path.stem
+        for shard in self._shard_names():
             if shard in named:
                 continue
             for key in self._load_shard(shard):
@@ -563,8 +574,8 @@ class FileStore(ResultStore):
     def verify(self) -> Dict[str, int]:
         """Parse every shard strictly; raise on corruption, report counts."""
         records = 0
-        for path in sorted((self.root / _SHARD_DIR).glob("*.jsonl")):
-            parsed, _dropped = self._parse_shard(path.stem)
+        for shard in self._shard_names():
+            parsed, _dropped = self._parse_shard(shard)
             records += len(parsed)
         return {"records": records, "truncated_dropped": self._truncated_dropped}
 
@@ -600,12 +611,12 @@ class FileStore(ResultStore):
         self.close()
         dropped_corrupt = 0
         total_lines = 0
-        shard_paths = sorted((self.root / _SHARD_DIR).glob("*.jsonl"))
-        before = sum(path.stat().st_size for path in shard_paths)
+        shards = self._shard_names()
+        before = sum(self._shard_path(shard).stat().st_size for shard in shards)
         merged: Dict[str, RunRecord] = {}
-        for path in shard_paths:
-            body, _ = _split_lines(path.read_text(encoding="utf-8"))
-            records, dropped = self._parse_shard(path.stem, salvage=True)
+        for shard in shards:
+            body, _ = _split_lines(self._shard_path(shard).read_text(encoding="utf-8"))
+            records, dropped = self._parse_shard(shard, salvage=True)
             total_lines += len(body)
             dropped_corrupt += dropped
             merged.update(records)
@@ -641,9 +652,9 @@ class FileStore(ResultStore):
             by_shard.setdefault(key[:2], {})[key] = record
         new_index = {key: key[:2] for key in merged}
         with self._locked():
-            for path in shard_paths:
-                if path.stem not in by_shard:
-                    path.unlink()
+            for shard in shards:
+                if shard not in by_shard:
+                    self._shard_path(shard).unlink()
             for shard, records in sorted(by_shard.items()):
                 _atomic_write(
                     self._shard_path(shard),
@@ -656,9 +667,7 @@ class FileStore(ResultStore):
             )
             _atomic_write(self._index_path, index_text)
             self._index_rewritten(index_text)
-        after = sum(
-            path.stat().st_size for path in (self.root / _SHARD_DIR).glob("*.jsonl")
-        )
+        after = sum(self._shard_path(shard).stat().st_size for shard in self._shard_names())
         self._index = new_index
         self._shard_cache = dict(by_shard)
         self._truncated_dropped = 0
@@ -676,16 +685,21 @@ class FileStore(ResultStore):
         The shards stay untouched — this only reconciles the accelerator
         with them, e.g. after :func:`~repro.store.merge.merge_stores`
         appended records from shipped shards, or when an index is suspected
-        stale.  Respects this handle's ``salvage`` tolerance.
+        stale.  Write order survives: keys this handle's index lists keep
+        their order, and keys found only in shards follow in shard-file
+        order, so a later budgeted :meth:`gc` still evicts the oldest.
+        Respects this handle's ``salvage`` tolerance.
         """
         if self._index_handle is not None:
             self._index_handle.close()
             self._index_handle = None
-        entries: Dict[str, str] = {}
+        found: Dict[str, str] = {}
         with self._locked():
-            for path in sorted((self.root / _SHARD_DIR).glob("*.jsonl")):
-                for key in self._parse_shard(path.stem, salvage=self.salvage)[0]:
-                    entries[key] = path.stem
+            for shard in self._shard_names():
+                for key in self._parse_shard(shard, salvage=self.salvage)[0]:
+                    found[key] = shard
+            entries = {key: found[key] for key in self._index if key in found}
+            entries.update(found)
             index_text = (
                 "\n".join(
                     json.dumps({"key": key, "shard": shard}, sort_keys=True, separators=(",", ":"))
@@ -701,17 +715,14 @@ class FileStore(ResultStore):
         return len(entries)
 
     def stats(self) -> Dict[str, Any]:
-        shard_paths = list((self.root / _SHARD_DIR).glob("*.jsonl"))
-        writers = {
-            stem.split("--", 1)[1] if "--" in stem else ""
-            for stem in (path.stem for path in shard_paths)
-        }
+        shards = self._shard_names()
+        writers = {shard.split("--", 1)[1] if "--" in shard else "" for shard in shards}
         return {
             "backend": self.backend,
             "root": str(self.root),
             "records": len(self._index),
-            "shards": len(shard_paths),
+            "shards": len(shards),
             "writers": len(writers),
-            "bytes": sum(path.stat().st_size for path in shard_paths),
+            "bytes": sum(self._shard_path(shard).stat().st_size for shard in shards),
             "truncated_dropped": self._truncated_dropped,
         }

@@ -61,6 +61,24 @@ class TestWriterNamespaces:
         with FileStore(tmp_path / "s") as reader:
             assert reader.get(record.spec) == record
 
+    def test_unindexed_key_in_two_namespaces_is_filed_by_shard_file_name(self, tmp_path):
+        # Shard files are listed by file name with the suffix, so
+        # "<p>--w1.jsonl" sorts before "<p>.jsonl" (by stem it would sort
+        # after) and an index rebuilt on open files the key under "<p>--w1".
+        root = tmp_path / "s"
+        record = _record(4)
+        key = record.spec.key()
+        for writer in (None, "w1"):
+            with FileStore(root, writer=writer) as store:
+                store.put_replace(record)
+        (root / "index.jsonl").unlink()
+        with FileStore(root) as reopened:
+            assert reopened.get(record.spec) == record
+            stats = reopened.stats()
+        lines = [json.loads(line) for line in (root / "index.jsonl").read_text().splitlines()]
+        assert lines == [{"key": key, "shard": f"{key[:2]}--w1"}]
+        assert stats["shards"] == 2 and stats["writers"] == 2
+
     def test_invalid_writer_names_rejected(self, tmp_path):
         for bad in ("a--b", "", "-lead", "sp ace", "sl/ash"):
             with pytest.raises(StoreError):
@@ -311,6 +329,52 @@ class TestLruEviction:
             assert sorted(reopened.keys()) == sorted(keys[4:])
             for record in written[4:]:
                 assert reopened.get(record.spec) == record
+
+    def _written_out_of_key_order(self, root) -> list:
+        """Six records put in the order (2,5,0,4,1,3) of their sorted keys."""
+        by_key = sorted(
+            (_record(size) for size in range(4, 10)), key=lambda record: record.spec.key()
+        )
+        written = [by_key[i] for i in (2, 5, 0, 4, 1, 3)]
+        with FileStore(root) as store:
+            for record in written:
+                store.put(record)
+        return written
+
+    def test_rebuild_index_keeps_write_order_for_gc(self, tmp_path):
+        root = tmp_path / "s"
+        written = self._written_out_of_key_order(root)
+        keys = [record.spec.key() for record in written]
+        store = FileStore(root)
+        assert store.rebuild_index() == 6
+        assert list(store.keys()) == keys
+        report = store.gc(max_records=4)
+        assert report["evicted"] == 2
+        with FileStore(root) as reopened:
+            assert list(reopened.keys()) == keys[2:]
+
+    def test_rebuild_index_files_shard_only_keys_after_indexed_ones(self, tmp_path):
+        root = tmp_path / "s"
+        written = self._written_out_of_key_order(root)
+        keys = [record.spec.key() for record in written]
+        # Put in reverse key order, so write order is not shard-file order.
+        late = sorted(
+            (_record(size, seed=1) for size in (4, 5, 6)),
+            key=lambda record: record.spec.key(),
+            reverse=True,
+        )
+        store = FileStore(root)
+        # Another handle appends records this one has not read yet.
+        with FileStore(root) as other:
+            for record in late:
+                other.put(record)
+        assert store.rebuild_index() == 9
+        # They follow the indexed keys in shard-file order: by shard prefix,
+        # then line order within a shard.
+        late_keys = sorted((record.spec.key() for record in late), key=lambda key: key[:2])
+        assert late_keys != [record.spec.key() for record in late]
+        assert list(store.keys()) == keys + late_keys
+        store.close()
 
     def test_gc_refuses_negative_budgets_before_touching_the_store(self, tmp_path):
         root = tmp_path / "s"
